@@ -955,127 +955,101 @@ constexpr std::uint32_t kClusterSection =
     snapshot::section_tag('C', 'L', 'U', 'S');
 }  // namespace
 
-void Cluster::save_state(snapshot::Writer& writer) const {
-  writer.section(kClusterSection);
-  writer.u32(static_cast<std::uint32_t>(node_count()));
-  // v4: the tier table and the tier/rack topology columns lead the section.
+template <class Self, class Ar>
+void Cluster::io(Self& self, Ar&& ar) {
+  ar.section(kClusterSection, "cluster");
+  const std::size_t n = self.node_count();
+  ar.expect(static_cast<std::uint32_t>(n),
+            "snapshot: node count mismatch — different cluster configuration");
+  // The tier table and the tier/rack topology columns lead the section.
   // They are immutable, but carrying them makes a tier-topology mixup a
   // loud restore error instead of a silently different simulation.
-  writer.u32(static_cast<std::uint32_t>(tiers_.size()));
-  for (const MemoryTier& t : tiers_) {
-    writer.str(t.name);
-    writer.f64(t.latency_ns);
-    writer.f64(t.bandwidth_gbs);
-    writer.u8(static_cast<std::uint8_t>(t.scope));
+  constexpr const char* kTopology =
+      "snapshot: tier table mismatch — different memory topology";
+  ar.expect(static_cast<std::uint32_t>(self.tiers_.size()),
+            "snapshot: tier table size mismatch — different memory topology");
+  for (const MemoryTier& t : self.tiers_) {
+    ar.expect(std::string_view(t.name), kTopology);
+    ar.expect(t.latency_ns, kTopology);
+    ar.expect(t.bandwidth_gbs, kTopology);
+    ar.expect(static_cast<std::uint8_t>(t.scope), kTopology);
   }
-  for (const std::uint8_t t : tier_) writer.u8(t);
-  for (const std::uint16_t r : rack_) writer.u32(r);
+  for (const std::uint8_t t : self.tier_) {
+    ar.expect(t, "snapshot: node tier column mismatch — different memory "
+                 "topology");
+  }
+  for (const std::uint16_t r : self.rack_) {
+    ar.expect(std::uint32_t{r}, "snapshot: node rack column mismatch — "
+                                "different memory topology");
+  }
   // Occupancy columns back to back (all running_job, then all local_used,
   // then all lent) — the serializer walks each array linearly, and a
-  // restore can bulk-load straight into the columns.
-  for (const std::uint32_t rj : running_job_) writer.u32(rj);
-  for (const MiB lu : local_used_) writer.i64(lu);
-  for (const MiB le : lent_) writer.i64(le);
+  // restore bulk-loads straight into the columns.
+  for (auto& rj : self.running_job_) ar.u32(rj);
+  for (auto& lu : self.local_used_) ar.i64(lu);
+  for (auto& le : self.lent_) ar.i64(le);
 
-  // Jobs in id order (unordered_map iteration order is not reproducible);
-  // each job's hosts in assignment order, each slot's borrow edges in their
-  // live merged order.
-  std::vector<std::uint32_t> jobs;
-  jobs.reserve(job_hosts_.size());
-  for (const auto& [job, hosts] : job_hosts_) {
-    (void)hosts;
-    jobs.push_back(job);
-  }
-  std::sort(jobs.begin(), jobs.end());
-  writer.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const std::uint32_t job : jobs) {
-    const std::vector<NodeId>& hosts = job_hosts_.at(job);
-    writer.u32(job);
-    writer.u32(static_cast<std::uint32_t>(hosts.size()));
-    for (const NodeId h : hosts) {
-      const auto it = slots_.find(key(JobId{job}, h));
-      DMSIM_ASSERT(it != slots_.end(), "missing slot for assigned host");
-      const AllocationSlot& slot = it->second;
-      writer.u32(h.get());
-      writer.i64(slot.local);
-      writer.u32(static_cast<std::uint32_t>(slot.remote.size()));
-      for (const auto& [lender, amount] : slot.remote) {
-        writer.u32(lender.get());
-        writer.i64(amount);
+  // Jobs in id order; each job's hosts in assignment order, each slot's
+  // borrow edges in their live merged order.
+  const auto slot_io = [&](auto& slot) {
+    ar.i64(slot.local);
+    ar.require(slot.local >= 0, "snapshot: negative local share");
+    ar.seq(slot.remote, [&](auto& edge) {
+      ar.u32(edge.first.value);
+      ar.i64(edge.second);
+      ar.require(edge.first.get() < n && edge.first != slot.host &&
+                     edge.second > 0,
+                 "snapshot: invalid borrow edge");
+      if constexpr (Ar::kLoading) {
+        self.borrow_slab_.add(edge.first.get(),
+                              key(slot.job, slot.host).packed);
       }
-    }
-  }
+    });
+  };
+  ar.map(
+      self.job_hosts_,
+      [&](std::uint32_t job, auto& hosts) {
+        ar.seq(hosts, [&](auto& h) {
+          ar.u32(h.value);
+          ar.require(h.get() < n && self.running_job_[h.get()] == job,
+                     "snapshot: slot host is not running the slot's job");
+          if constexpr (Ar::kLoading) {
+            AllocationSlot slot{JobId{job}, h, 0, {}};
+            slot_io(slot);
+            ar.require(self.slots_.emplace(key(JobId{job}, h), std::move(slot))
+                           .second,
+                       "snapshot: duplicate allocation slot");
+          } else {
+            const auto it = self.slots_.find(key(JobId{job}, h));
+            DMSIM_ASSERT(it != self.slots_.end(),
+                         "missing slot for assigned host");
+            slot_io(it->second);
+          }
+        });
+        ar.require(!hosts.empty(), "snapshot: assigned job with no hosts");
+      },
+      "snapshot: duplicate job assignment");
 
-  writer.i64(total_allocated_);
-  writer.i64(total_lent_);
-  writer.u64(change_epoch_);
+  ar.i64(self.total_allocated_);
+  ar.i64(self.total_lent_);
+  ar.u64(self.change_epoch_);
 }
 
-void Cluster::restore_state(snapshot::Reader& reader,
-                            std::uint32_t format_version) {
-  reader.expect_section(kClusterSection, "cluster");
-  const std::size_t n = node_count();
-  if (reader.u32() != n) {
-    throw snapshot::SnapshotError(
-        "snapshot: node count mismatch — different cluster configuration");
-  }
-  if (format_version >= 4) {
-    // The stored tier topology must match this cluster's exactly; v2/v3
-    // files predate tiers and can only have been written by a flat
-    // topology (the fingerprint already pins that).
-    if (reader.u32() != tiers_.size()) {
-      throw snapshot::SnapshotError(
-          "snapshot: tier table size mismatch — different memory topology");
-    }
-    for (const MemoryTier& t : tiers_) {
-      const std::string_view name = reader.str();
-      const double latency = reader.f64();
-      const double bandwidth = reader.f64();
-      const std::uint8_t scope = reader.u8();
-      if (name != t.name || latency != t.latency_ns ||
-          bandwidth != t.bandwidth_gbs ||
-          scope != static_cast<std::uint8_t>(t.scope)) {
-        throw snapshot::SnapshotError(
-            "snapshot: tier table mismatch — different memory topology");
-      }
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (reader.u8() != tier_[i]) {
-        throw snapshot::SnapshotError(
-            "snapshot: node tier column mismatch — different memory topology");
-      }
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (reader.u32() != rack_[i]) {
-        throw snapshot::SnapshotError(
-            "snapshot: node rack column mismatch — different memory topology");
-      }
-    }
-  }
+void Cluster::save_state(snapshot::Writer& writer) const {
+  io(*this, snapshot::Saver(writer));
+}
 
+void Cluster::restore_state(snapshot::Reader& reader) {
   // Wipe all mutable state back to the empty ledger.
+  const std::size_t n = node_count();
   slots_.clear();
   job_hosts_.clear();
   borrow_slab_.init(n);
   dirty_lenders_.clear();
   dirty_jobs_.clear();
   lender_dirty_flag_.assign(n, 0);
-
-  if (format_version >= 3) {
-    // Columnar layout: each occupancy column stored contiguously.
-    for (std::uint32_t i = 0; i < n; ++i) running_job_[i] = reader.u32();
-    for (std::uint32_t i = 0; i < n; ++i) local_used_[i] = reader.i64();
-    for (std::uint32_t i = 0; i < n; ++i) lent_[i] = reader.i64();
-  } else {
-    // v2 layout: one interleaved (running_job, local_used, lent) record per
-    // node.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      running_job_[i] = reader.u32();
-      local_used_[i] = reader.i64();
-      lent_[i] = reader.i64();
-    }
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
+  io(*this, snapshot::Loader(reader));
+  for (std::size_t i = 0; i < n; ++i) {
     if (local_used_[i] < 0 || lent_[i] < 0 ||
         local_used_[i] + lent_[i] > capacity_[i]) {
       throw snapshot::SnapshotError("snapshot: node ledger out of range");
@@ -1084,55 +1058,6 @@ void Cluster::restore_state(snapshot::Reader& reader,
   // Derived columns and all three ordered indexes come back in one bulk
   // pass over the restored occupancy columns.
   rebuild_indexes_bulk();
-
-  const std::uint32_t n_jobs = reader.u32();
-  for (std::uint32_t j = 0; j < n_jobs; ++j) {
-    const std::uint32_t job = reader.u32();
-    const std::uint32_t n_hosts = reader.u32();
-    if (n_hosts == 0) {
-      throw snapshot::SnapshotError("snapshot: assigned job with no hosts");
-    }
-    std::vector<NodeId> hosts;
-    hosts.reserve(n_hosts);
-    for (std::uint32_t k_ = 0; k_ < n_hosts; ++k_) {
-      const std::uint32_t host = reader.u32();
-      if (host >= n || running_job_[host] != job) {
-        throw snapshot::SnapshotError(
-            "snapshot: slot host is not running the slot's job");
-      }
-      hosts.emplace_back(NodeId{host});
-      AllocationSlot slot;
-      slot.job = JobId{job};
-      slot.host = NodeId{host};
-      slot.local = reader.i64();
-      if (slot.local < 0) {
-        throw snapshot::SnapshotError("snapshot: negative local share");
-      }
-      const std::uint32_t n_edges = reader.u32();
-      slot.remote.reserve(n_edges);
-      for (std::uint32_t e = 0; e < n_edges; ++e) {
-        const std::uint32_t lender = reader.u32();
-        const MiB amount = reader.i64();
-        if (lender >= n || lender == host || amount <= 0) {
-          throw snapshot::SnapshotError("snapshot: invalid borrow edge");
-        }
-        slot.remote.emplace_back(NodeId{lender}, amount);
-        borrow_slab_.add(lender, key(JobId{job}, NodeId{host}).packed);
-      }
-      if (!slots_.emplace(key(JobId{job}, NodeId{host}), std::move(slot))
-               .second) {
-        throw snapshot::SnapshotError("snapshot: duplicate allocation slot");
-      }
-    }
-    if (!job_hosts_.emplace(job, std::move(hosts)).second) {
-      throw snapshot::SnapshotError("snapshot: duplicate job assignment");
-    }
-  }
-
-  total_allocated_ = reader.i64();
-  total_lent_ = reader.i64();
-  change_epoch_ = reader.u64();
-
   // Full validation: per-node sums vs slots, index memberships, reverse
   // index, aggregate counters. A snapshot that passes this is exactly a
   // state the mutation API could have produced.

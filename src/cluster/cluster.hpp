@@ -436,25 +436,21 @@ class Cluster {
   void set_debug_parity(bool enabled) noexcept { debug_parity_ = enabled; }
 
   /// Serialize mutable ledger state: the tier table and tier/rack columns
-  /// (v4 — restore cross-checks them against the configured topology so a
-  /// tier mixup fails loudly), per-node occupancy columns, every job's
-  /// hosts and slots (borrow edges in their exact merged order —
-  /// grow_remote merges into existing edges positionally, so order is
-  /// state), aggregate totals and the change epoch. The rest of the
-  /// topology (capacities, lender policy) is NOT serialized; the checkpoint
-  /// layer fingerprints it instead. Writes the v4 layout.
+  /// (restore cross-checks them against the configured topology so a tier
+  /// mixup fails loudly), per-node occupancy columns, every job's hosts and
+  /// slots (borrow edges in their exact merged order — grow_remote merges
+  /// into existing edges positionally, so order is state), aggregate totals
+  /// and the change epoch. The rest of the topology (capacities, lender
+  /// policy) is NOT serialized; the checkpoint layer fingerprints it instead.
   void save_state(snapshot::Writer& writer) const;
 
   /// Rebuild ledger state from save_state bytes onto this (identically
-  /// configured) cluster. `format_version` is the enclosing snapshot
-  /// version: 2 reads the legacy interleaved per-node layout, 3 the
-  /// columnar layout, >= 4 columnar plus the tier table/columns. The
-  /// incremental free-memory indexes and the reverse borrow slab are
-  /// rebuilt in one bulk pass from the restored columns (sort + linear set
-  /// build, not n individual tree inserts), contention dirty sets are
-  /// cleared (the scheduler resets its slowdown cache to a full rebuild),
-  /// and check_invariants() validates the result.
-  void restore_state(snapshot::Reader& reader, std::uint32_t format_version = 4);
+  /// configured) cluster. The incremental free-memory indexes are rebuilt
+  /// in one bulk pass from the restored columns (sort + linear set build,
+  /// not n individual tree inserts), contention dirty sets are cleared (the
+  /// scheduler resets its slowdown cache to a full rebuild), and
+  /// check_invariants() validates the result.
+  void restore_state(snapshot::Reader& reader);
 
  private:
   struct SlotKey {
@@ -594,6 +590,9 @@ class Cluster {
   /// range-construct the sets linearly — instead of n individual O(log n)
   /// tree inserts.
   void rebuild_indexes_bulk();
+  /// The snapshot section's field list, run by save_state / restore_state.
+  template <class Self, class Ar>
+  static void io(Self& self, Ar&& ar);
   void mark_lender_dirty(NodeId id);
   void mark_job_dirty(JobId job) { dirty_jobs_.push_back(job); }
   /// Mark the job and every lender of `slot` dirty: the slot's total moved,

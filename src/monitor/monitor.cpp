@@ -39,6 +39,30 @@ namespace {
          static_cast<double>(std::max<MiB>(truth, 1));
 }
 
+/// Snapshot field lists of the stateful monitors (see snapshot::Saver).
+template <class Counters, class Ar>
+void counters_io(Counters& counters, Ar&& ar) {
+  ar.map(
+      counters, [&](std::uint32_t /*job*/, auto& n) { ar.u64(n); },
+      "snapshot: duplicate sampled-monitor job");
+}
+
+template <class Jobs, class Ar>
+void jobs_io(Jobs& jobs, Ar&& ar) {
+  ar.map(
+      jobs,
+      [&](std::uint32_t /*job*/, auto& st) {
+        ar.f64(st.interval);
+        ar.u32(st.agreements);
+        ar.seq(st.regions, [&](auto& region) {
+          ar.f64(region.from);
+          ar.f64(region.to);
+          ar.i64(region.est);
+        });
+      },
+      "snapshot: duplicate adaptive-monitor job");
+}
+
 }  // namespace
 
 const char* to_string(MonitorKind kind) noexcept {
@@ -145,20 +169,11 @@ Reading SampledMonitor::update(JobId id, const trace::JobSpec& spec,
 void SampledMonitor::on_job_stop(JobId id) { counters_.erase(id.get()); }
 
 void SampledMonitor::save_state(snapshot::Writer& writer) const {
-  writer.u32(static_cast<std::uint32_t>(counters_.size()));
-  for (const auto& [job, counter] : counters_) {  // std::map: id-sorted
-    writer.u32(job);
-    writer.u64(counter);
-  }
+  counters_io(counters_, snapshot::Saver(writer));
 }
 
 void SampledMonitor::restore_state(snapshot::Reader& reader) {
-  counters_.clear();
-  const std::uint32_t n = reader.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t job = reader.u32();
-    counters_[job] = reader.u64();
-  }
+  counters_io(counters_, snapshot::Loader(reader));
 }
 
 // ---------------------------------------------------------------------------
@@ -298,39 +313,11 @@ std::size_t AdaptiveMonitor::region_count(JobId id) const noexcept {
 }
 
 void AdaptiveMonitor::save_state(snapshot::Writer& writer) const {
-  writer.u32(static_cast<std::uint32_t>(jobs_.size()));
-  for (const auto& [job, st] : jobs_) {  // std::map: id-sorted
-    writer.u32(job);
-    writer.f64(st.interval);
-    writer.u32(st.agreements);
-    writer.u32(static_cast<std::uint32_t>(st.regions.size()));
-    for (const Region& region : st.regions) {
-      writer.f64(region.from);
-      writer.f64(region.to);
-      writer.i64(region.est);
-    }
-  }
+  jobs_io(jobs_, snapshot::Saver(writer));
 }
 
 void AdaptiveMonitor::restore_state(snapshot::Reader& reader) {
-  jobs_.clear();
-  const std::uint32_t n = reader.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t job = reader.u32();
-    JobState st;
-    st.interval = reader.f64();
-    st.agreements = reader.u32();
-    const std::uint32_t n_regions = reader.u32();
-    st.regions.reserve(n_regions);
-    for (std::uint32_t k = 0; k < n_regions; ++k) {
-      Region region;
-      region.from = reader.f64();
-      region.to = reader.f64();
-      region.est = reader.i64();
-      st.regions.push_back(region);
-    }
-    jobs_.emplace(job, std::move(st));
-  }
+  jobs_io(jobs_, snapshot::Loader(reader));
 }
 
 std::unique_ptr<MemoryMonitor> make_monitor(const MonitorConfig& config) {

@@ -183,8 +183,7 @@ class SampledMonitor final : public MemoryMonitor {
 
  private:
   MonitorConfig config_;
-  /// Per-job update counter driving the noise sequence. Ordered map so
-  /// serialization is canonical without sorting.
+  /// Per-job update counter driving the noise sequence.
   std::map<std::uint32_t, std::uint64_t> counters_;
 };
 

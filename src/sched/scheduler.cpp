@@ -1046,267 +1046,127 @@ constexpr std::uint32_t kSchedSection =
     snapshot::section_tag('S', 'C', 'H', 'D');
 }  // namespace
 
-void Scheduler::save_state(snapshot::Writer& writer) const {
-  writer.section(kSchedSection);
-  writer.u64(workload_.size());
+template <class Self, class Ar>
+void Scheduler::io(Self& self, Ar&& ar) {
+  ar.section(kSchedSection, "scheduler");
+  ar.expect(static_cast<std::uint64_t>(self.workload_.size()),
+            "snapshot: workload size mismatch — restore requires the "
+            "identical workload to be submitted first");
+  const auto spec_index = [&](auto& index) {
+    ar.u64(index);
+    ar.require(index < self.workload_.size(),
+               "snapshot: spec index out of range");
+  };
 
-  writer.u32(static_cast<std::uint32_t>(pending_.size()));
-  for (const PendingEntry& e : pending_) {
-    writer.u64(e.spec_index);
-    writer.i64(e.restarts);
-    writer.f64(e.checkpoint);
-    writer.boolean(e.guaranteed);
-    writer.i64(e.priority);
-    writer.f64(e.enqueue_time);
-    writer.u64(e.last_deny_epoch);
+  ar.seq(self.pending_, [&](auto& e) {
+    spec_index(e.spec_index);
+    ar.i64(e.restarts);
+    ar.f64(e.checkpoint);
+    ar.boolean(e.guaranteed);
+    ar.i64(e.priority);
+    ar.f64(e.enqueue_time);
+    ar.u64(e.last_deny_epoch);
     // Serialized by content; restore re-interns the static literal. The
     // cache must survive the snapshot: replaying a cached denial has
     // observable effects (counter bump, trace event) that re-running host
     // selection would not reproduce identically on the lenders_dry path.
-    writer.str(e.last_deny_reason != nullptr
-                   ? std::string_view(e.last_deny_reason)
-                   : std::string_view{});
-  }
-
-  // Running jobs in id order: unordered_map iteration order is a function
-  // of insertion/rehash history, which restore does not reproduce.
-  std::vector<std::uint32_t> ids;
-  ids.reserve(running_.size());
-  for (const auto& [id_value, rj] : running_) {
-    (void)rj;
-    ids.push_back(id_value);
-  }
-  std::sort(ids.begin(), ids.end());
-  writer.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const std::uint32_t id_value : ids) {
-    const RunningJob& rj = running_.at(id_value);
-    writer.u32(id_value);
-    writer.u64(rj.spec_index);
-    writer.f64(rj.start_time);
-    writer.f64(rj.progress);
-    writer.f64(rj.last_fold);
-    writer.f64(rj.slowdown);
-    writer.u64(rj.end_event.value);
-    writer.u64(rj.update_event.value);
-    writer.u64(rj.walltime_event.value);
-    writer.f64(rj.checkpoint);
-    writer.i64(rj.restarts);
-    writer.boolean(rj.guaranteed);
-    // Format v5: monitor fold state per running job.
-    writer.f64(rj.monitor_overhead);
-    writer.i64(rj.provisioned);
-  }
-
-  std::vector<std::uint32_t> preds;
-  preds.reserve(dependents_.size());
-  for (const auto& [pred, specs] : dependents_) {
-    (void)specs;
-    preds.push_back(pred);
-  }
-  std::sort(preds.begin(), preds.end());
-  writer.u32(static_cast<std::uint32_t>(preds.size()));
-  for (const std::uint32_t pred : preds) {
-    const std::vector<std::size_t>& specs = dependents_.at(pred);
-    writer.u32(pred);
-    writer.u32(static_cast<std::uint32_t>(specs.size()));
-    for (const std::size_t i : specs) writer.u64(i);
-  }
-
-  writer.u32(static_cast<std::uint32_t>(records_.size()));
-  for (const JobRecord& r : records_) {
-    writer.u32(r.id.get());
-    writer.f64(r.submit_time);
-    writer.f64(r.first_start);
-    writer.f64(r.last_start);
-    writer.f64(r.end_time);
-    writer.i64(r.num_nodes);
-    writer.i64(r.requested_mem);
-    writer.i64(r.peak_usage);
-    writer.i64(r.oom_failures);
-    writer.boolean(r.ran_guaranteed);
-    writer.boolean(r.infeasible);
-    writer.u8(static_cast<std::uint8_t>(r.outcome));
-  }
-
-  writer.u32(static_cast<std::uint32_t>(samples_.size()));
-  for (const SystemSample& s : samples_) {
-    writer.f64(s.time);
-    writer.i64(s.allocated);
-    writer.i64(s.used);
-    writer.i64(s.busy_nodes);
-    writer.u64(s.pending_jobs);
-  }
-
-  writer.u64(totals_.completed);
-  writer.u64(totals_.oom_events);
-  writer.u64(totals_.requeues);
-  writer.u64(totals_.fcfs_starts);
-  writer.u64(totals_.backfill_starts);
-  writer.u64(totals_.guaranteed_starts);
-  writer.u64(totals_.update_events);
-  writer.u64(totals_.scheduling_passes);
-  writer.u64(totals_.abandoned);
-  writer.u64(totals_.walltime_kills);
-  writer.u64(infeasible_count_);
-
-  writer.boolean(pass_scheduled_);
-  writer.boolean(global_update_scheduled_);
-  writer.i64(global_updatable_);
-  writer.f64(last_pass_time_);
-  writer.f64(util_last_touch_);
-  writer.f64(allocated_integral_);
-  writer.f64(busy_integral_);
-  writer.i64(busy_nodes_);
-  writer.f64(horizon_);
-
-  // Format v5: per-job monitor state (noise counters / adaptive regions).
-  monitor_->save_state(writer);
-}
-
-void Scheduler::restore_state(snapshot::Reader& reader, std::uint32_t version) {
-  reader.expect_section(kSchedSection, "scheduler");
-  if (reader.u64() != workload_.size()) {
-    throw snapshot::SnapshotError(
-        "snapshot: workload size mismatch — restore requires the identical "
-        "workload to be submitted first");
-  }
-  const auto spec_index_checked = [this](std::uint64_t index) {
-    if (index >= workload_.size()) {
-      throw snapshot::SnapshotError("snapshot: spec index out of range");
+    std::string_view reason =
+        e.last_deny_reason != nullptr ? e.last_deny_reason : "";
+    ar.str(reason);
+    if constexpr (Ar::kLoading) {
+      e.last_deny_reason = policy::intern_deny_reason(reason);
     }
-    return static_cast<std::size_t>(index);
-  };
+  });
 
-  pending_.clear();
-  const std::uint32_t n_pending = reader.u32();
-  for (std::uint32_t i = 0; i < n_pending; ++i) {
-    PendingEntry e;
-    e.spec_index = spec_index_checked(reader.u64());
-    e.restarts = static_cast<int>(reader.i64());
-    e.checkpoint = reader.f64();
-    e.guaranteed = reader.boolean();
-    e.priority = static_cast<int>(reader.i64());
-    e.enqueue_time = reader.f64();
-    e.last_deny_epoch = reader.u64();
-    e.last_deny_reason = policy::intern_deny_reason(reader.str());
-    pending_.push_back(e);
-  }
+  ar.map(
+      self.running_,
+      [&](std::uint32_t /*id*/, auto& rj) {
+        spec_index(rj.spec_index);
+        ar.f64(rj.start_time);
+        ar.f64(rj.progress);
+        ar.f64(rj.last_fold);
+        ar.f64(rj.slowdown);
+        ar.u64(rj.end_event.value);
+        ar.u64(rj.update_event.value);
+        ar.u64(rj.walltime_event.value);
+        ar.f64(rj.checkpoint);
+        ar.i64(rj.restarts);
+        ar.boolean(rj.guaranteed);
+        ar.f64(rj.monitor_overhead);
+        ar.i64(rj.provisioned);
+      },
+      "snapshot: duplicate running job");
 
-  running_.clear();
-  const std::uint32_t n_running = reader.u32();
-  running_.reserve(n_running);
-  for (std::uint32_t i = 0; i < n_running; ++i) {
-    const std::uint32_t id_value = reader.u32();
-    RunningJob rj;
-    rj.spec_index = spec_index_checked(reader.u64());
-    rj.start_time = reader.f64();
-    rj.progress = reader.f64();
-    rj.last_fold = reader.f64();
-    rj.slowdown = reader.f64();
-    rj.end_event = sim::EventId{reader.u64()};
-    rj.update_event = sim::EventId{reader.u64()};
-    rj.walltime_event = sim::EventId{reader.u64()};
-    rj.checkpoint = reader.f64();
-    rj.restarts = static_cast<int>(reader.i64());
-    rj.guaranteed = reader.boolean();
-    if (version >= 5) {
-      rj.monitor_overhead = reader.f64();
-      rj.provisioned = reader.i64();
-    } else {
-      // Pre-monitor snapshots were oracle runs by definition (a non-oracle
-      // config changes the fingerprint): zero overhead, request provisioned.
-      rj.monitor_overhead = 1.0;
-      rj.provisioned = workload_[rj.spec_index].requested_mem;
-    }
-    if (!running_.emplace(id_value, rj).second) {
-      throw snapshot::SnapshotError("snapshot: duplicate running job");
-    }
-  }
-
-  dependents_.clear();
-  const std::uint32_t n_deps = reader.u32();
-  for (std::uint32_t i = 0; i < n_deps; ++i) {
-    const std::uint32_t pred = reader.u32();
-    const std::uint32_t n_specs = reader.u32();
-    std::vector<std::size_t>& specs = dependents_[pred];
-    specs.reserve(n_specs);
-    for (std::uint32_t k = 0; k < n_specs; ++k) {
-      specs.push_back(spec_index_checked(reader.u64()));
-    }
-  }
+  ar.map(
+      self.dependents_,
+      [&](std::uint32_t /*pred*/, auto& specs) { ar.seq(specs, spec_index); },
+      "snapshot: duplicate dependency list");
 
   // records_ / record_index_ were rebuilt deterministically by
-  // submit_workload (same workload, same order); overwrite the mutable
-  // fields in place, verifying the identity columns line up.
-  const std::uint32_t n_records = reader.u32();
-  if (n_records != records_.size()) {
-    throw snapshot::SnapshotError("snapshot: job record count mismatch");
-  }
-  for (JobRecord& r : records_) {
-    if (reader.u32() != r.id.get()) {
-      throw snapshot::SnapshotError("snapshot: job record id mismatch");
-    }
-    r.submit_time = reader.f64();
-    r.first_start = reader.f64();
-    r.last_start = reader.f64();
-    r.end_time = reader.f64();
-    r.num_nodes = static_cast<int>(reader.i64());
-    r.requested_mem = reader.i64();
-    r.peak_usage = reader.i64();
-    r.oom_failures = static_cast<int>(reader.i64());
-    r.ran_guaranteed = reader.boolean();
-    r.infeasible = reader.boolean();
-    const std::uint8_t outcome = reader.u8();
-    if (outcome > static_cast<std::uint8_t>(JobOutcome::KilledWalltime)) {
-      throw snapshot::SnapshotError("snapshot: unknown job outcome");
-    }
-    r.outcome = static_cast<JobOutcome>(outcome);
+  // submit_workload (same workload, same order); restore overwrites the
+  // mutable fields in place, verifying the identity columns line up.
+  ar.expect(static_cast<std::uint32_t>(self.records_.size()),
+            "snapshot: job record count mismatch");
+  for (auto& r : self.records_) {
+    ar.expect(r.id.get(), "snapshot: job record id mismatch");
+    ar.f64(r.submit_time);
+    ar.f64(r.first_start);
+    ar.f64(r.last_start);
+    ar.f64(r.end_time);
+    ar.i64(r.num_nodes);
+    ar.i64(r.requested_mem);
+    ar.i64(r.peak_usage);
+    ar.i64(r.oom_failures);
+    ar.boolean(r.ran_guaranteed);
+    ar.boolean(r.infeasible);
+    ar.u8(r.outcome);
+    ar.require(r.outcome <= JobOutcome::KilledWalltime,
+               "snapshot: unknown job outcome");
   }
 
-  samples_.clear();
-  const std::uint32_t n_samples = reader.u32();
-  samples_.reserve(n_samples);
-  for (std::uint32_t i = 0; i < n_samples; ++i) {
-    SystemSample s;
-    s.time = reader.f64();
-    s.allocated = reader.i64();
-    s.used = reader.i64();
-    s.busy_nodes = static_cast<int>(reader.i64());
-    s.pending_jobs = static_cast<std::size_t>(reader.u64());
-    samples_.push_back(s);
-  }
+  ar.seq(self.samples_, [&](auto& s) {
+    ar.f64(s.time);
+    ar.i64(s.allocated);
+    ar.i64(s.used);
+    ar.i64(s.busy_nodes);
+    ar.u64(s.pending_jobs);
+  });
 
-  totals_.completed = reader.u64();
-  totals_.oom_events = reader.u64();
-  totals_.requeues = reader.u64();
-  totals_.fcfs_starts = reader.u64();
-  totals_.backfill_starts = reader.u64();
-  totals_.guaranteed_starts = reader.u64();
-  totals_.update_events = reader.u64();
-  totals_.scheduling_passes = reader.u64();
-  totals_.abandoned = reader.u64();
-  totals_.walltime_kills = reader.u64();
-  if (reader.u64() != infeasible_count_) {
-    throw snapshot::SnapshotError(
-        "snapshot: infeasible job count mismatch — different workload or "
-        "cluster configuration");
-  }
+  ar.u64(self.totals_.completed);
+  ar.u64(self.totals_.oom_events);
+  ar.u64(self.totals_.requeues);
+  ar.u64(self.totals_.fcfs_starts);
+  ar.u64(self.totals_.backfill_starts);
+  ar.u64(self.totals_.guaranteed_starts);
+  ar.u64(self.totals_.update_events);
+  ar.u64(self.totals_.scheduling_passes);
+  ar.u64(self.totals_.abandoned);
+  ar.u64(self.totals_.walltime_kills);
+  ar.expect(static_cast<std::uint64_t>(self.infeasible_count_),
+            "snapshot: infeasible job count mismatch — different workload or "
+            "cluster configuration");
 
-  pass_scheduled_ = reader.boolean();
-  global_update_scheduled_ = reader.boolean();
-  global_updatable_ = static_cast<int>(reader.i64());
-  last_pass_time_ = reader.f64();
-  util_last_touch_ = reader.f64();
-  allocated_integral_ = reader.f64();
-  busy_integral_ = reader.f64();
-  busy_nodes_ = static_cast<int>(reader.i64());
-  horizon_ = reader.f64();
+  ar.boolean(self.pass_scheduled_);
+  ar.boolean(self.global_update_scheduled_);
+  ar.i64(self.global_updatable_);
+  ar.f64(self.last_pass_time_);
+  ar.f64(self.util_last_touch_);
+  ar.f64(self.allocated_integral_);
+  ar.f64(self.busy_integral_);
+  ar.i64(self.busy_nodes_);
+  ar.f64(self.horizon_);
 
-  // Monitor state: v5 sections carry it; older sections predate the monitor
-  // subsystem and restore a fresh (empty) oracle-equivalent monitor.
+  // Per-job monitor state (noise counters / adaptive regions).
+  ar.state(*self.monitor_);
+}
+
+void Scheduler::save_state(snapshot::Writer& writer) const {
+  io(*this, snapshot::Saver(writer));
+}
+
+void Scheduler::restore_state(snapshot::Reader& reader) {
   monitor_ = monitor::make_monitor(config_.monitor);
-  if (version >= 5) monitor_->restore_state(reader);
-
+  io(*this, snapshot::Loader(reader));
   // The incremental slowdown cache is intentionally NOT serialized: reset()
   // forces a full rebuild on the next refresh, which recomputes bitwise-
   // equal slowdowns for every clean job (|delta| <= kSlowdownEps skips the

@@ -204,10 +204,8 @@ class Scheduler : public sim::EventHandler {
   /// submit_workload() with the same workload; the slowdown cache is reset
   /// and rebuilt incrementally (bitwise-equal recompute, so replay is
   /// unaffected). Restore the engine first: pending-event handles in the
-  /// snapshot must match the restored slab. `version` is the snapshot
-  /// format version: sections older than v5 predate the monitor subsystem
-  /// and restore with oracle-equivalent per-job monitor state.
-  void restore_state(snapshot::Reader& reader, std::uint32_t version);
+  /// snapshot must match the restored slab.
+  void restore_state(snapshot::Reader& reader);
 
   [[nodiscard]] const std::vector<JobRecord>& records() const noexcept {
     return records_;
@@ -359,6 +357,10 @@ class Scheduler : public sim::EventHandler {
                  const char* detail = nullptr);
   /// Copy the final SchedulerTotals into the counters registry.
   void publish_totals();
+
+  /// The snapshot section's field list, run by save_state / restore_state.
+  template <class Self, class Ar>
+  static void io(Self& self, Ar&& ar);
 
   sim::Engine& engine_;
   cluster::Cluster& cluster_;

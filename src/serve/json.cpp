@@ -270,38 +270,4 @@ JsonValue json_parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace dmsim::serve

@@ -59,7 +59,4 @@ struct JsonValue {
 /// Throws ServeError with the byte offset of the first problem.
 [[nodiscard]] JsonValue json_parse(std::string_view text);
 
-/// Escape a string for embedding in a JSON document (quotes not included).
-[[nodiscard]] std::string json_escape(std::string_view raw);
-
 }  // namespace dmsim::serve

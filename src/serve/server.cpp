@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "cluster/cluster.hpp"
+#include "metrics/json_export.hpp"
 #include "serve/json.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "util/error.hpp"
@@ -21,22 +22,12 @@ namespace dmsim::serve {
 
 namespace {
 
-[[nodiscard]] std::string hex_u64(std::uint64_t v) {
-  char buf[17] = {};
-  static constexpr char kHex[] = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = kHex[v & 0xf];
-    v >>= 4;
-  }
-  return std::string(buf, 16);
-}
-
 /// Reply prefix `{"id":...,"op":...` — the id is echoed only when given.
 [[nodiscard]] std::string reply_head(const std::string& id,
                                      std::string_view op) {
   std::string head = "{";
   if (!id.empty()) {
-    head += "\"id\":\"" + json_escape(id) + "\",";
+    head += "\"id\":\"" + metrics::json_escape(id) + "\",";
   }
   head += "\"op\":\"";
   head += op;
@@ -48,7 +39,7 @@ namespace {
                                       std::string_view op,
                                       std::string_view message) {
   return reply_head(id, op) + ",\"status\":\"error\",\"error\":\"" +
-         json_escape(message) + "\"}";
+         metrics::json_escape(message) + "\"}";
 }
 
 bool send_all(int fd, std::string_view data) {
@@ -111,8 +102,8 @@ harness::CellConfig Server::make_fork(const Query& query) {
     throw ServeError("serve: snapshot '" + path +
                      "' was taken under a different configuration "
                      "(fingerprint " +
-                     hex_u64(image->fingerprint()) + ", scenario " +
-                     hex_u64(base_fp_) + ")");
+                     snapshot::hex_u64(image->fingerprint()) + ", scenario " +
+                     snapshot::hex_u64(base_fp_) + ")");
   }
   harness::CellConfig cell;
   cell.system = scenario_.system;
@@ -192,18 +183,19 @@ std::string Server::reply_info(const Query& query) {
       query.snapshot.empty() ? scenario_.snapshot_path : query.snapshot;
   std::string body = reply_head(query.id, "info") + ",\"status\":\"ok\"";
   body += ",\"result\":{";
-  body += "\"base_fingerprint\":\"" + hex_u64(base_fp_) + "\"";
+  body += "\"base_fingerprint\":\"" + snapshot::hex_u64(base_fp_) + "\"";
   body += ",\"policy\":\"" + std::string(policy::to_string(scenario_.policy)) +
           "\"";
   body += ",\"workload_jobs\":" + std::to_string(scenario_.jobs.size());
   if (!path.empty()) {
     const std::shared_ptr<const snapshot::Image> image = cache_.get(path);
     body += ",\"snapshot\":{";
-    body += "\"path\":\"" + json_escape(path) + "\"";
+    body += "\"path\":\"" + metrics::json_escape(path) + "\"";
     body += ",\"format_version\":" + std::to_string(image->version());
-    body += ",\"fingerprint\":\"" + hex_u64(image->fingerprint()) + "\"";
-    body += ",\"payload_checksum\":\"" + hex_u64(image->payload_checksum()) +
+    body += ",\"fingerprint\":\"" + snapshot::hex_u64(image->fingerprint()) +
             "\"";
+    body += ",\"payload_checksum\":\"" +
+            snapshot::hex_u64(image->payload_checksum()) + "\"";
     body += ",\"total_bytes\":" + std::to_string(image->size_bytes());
     body += ",\"payload_bytes\":" + std::to_string(image->payload().size());
     body += ",\"sections\":[";
@@ -211,10 +203,10 @@ std::string Server::reply_info(const Query& query) {
     for (const snapshot::SectionInfo& s : image->sections()) {
       if (!first) body += ",";
       first = false;
-      body += "{\"name\":\"" + json_escape(s.name) + "\"";
+      body += "{\"name\":\"" + metrics::json_escape(s.name) + "\"";
       body += ",\"offset\":" + std::to_string(s.offset);
       body += ",\"size\":" + std::to_string(s.size);
-      body += ",\"checksum\":\"" + hex_u64(s.checksum) + "\"}";
+      body += ",\"checksum\":\"" + snapshot::hex_u64(s.checksum) + "\"}";
     }
     body += "]}";
   }

@@ -159,115 +159,80 @@ std::uint64_t Engine::run_until(Seconds until) {
   return n;
 }
 
-void Engine::save_state(snapshot::Writer& writer) const {
-  writer.section(kEngineSection);
-  writer.f64(now_);
-  writer.u64(next_seq_);
-  writer.u64(executed_);
-  writer.u64(static_cast<std::uint64_t>(live_));
-  writer.u32(static_cast<std::uint32_t>(slots_.size()));
-  for (const Slot& s : slots_) {
-    writer.boolean(s.occupied);
-    writer.u32(s.generation);
-    if (!s.occupied) continue;
-    if (s.payload.type == EventType::None) {
+template <class Self, class Ar>
+void Engine::io(Self& self, Ar&& ar) {
+  ar.section(kEngineSection, "engine");
+  ar.f64(self.now_);
+  ar.u64(self.next_seq_);
+  ar.u64(self.executed_);
+  std::uint64_t live = self.live_;
+  ar.u64(live);
+  std::uint64_t occupied = 0;
+  ar.seq(self.slots_, [&](auto& s) {
+    ar.boolean(s.occupied);
+    ar.u32(s.generation);
+    ar.require(s.generation != 0, "snapshot: slot generation 0 is reserved");
+    if (!s.occupied) return;
+    ++occupied;
+    if (!Ar::kLoading && s.payload.type == EventType::None) {
       throw snapshot::SnapshotError(
           "snapshot: pending closure event (trace id " +
           std::to_string(s.trace_id) +
           ") is not serializable — production code must use "
           "schedule_typed()");
     }
-    writer.u64(s.trace_id);
-    writer.u8(static_cast<std::uint8_t>(s.payload.type));
-    writer.u32(s.payload.job);
-    writer.u64(s.payload.index);
-  }
-  writer.u32(static_cast<std::uint32_t>(free_slots_.size()));
-  for (std::uint32_t f : free_slots_) writer.u32(f);
-  // Live heap entries in internal heap order. Stale entries (cancelled, not
-  // yet lazily popped) are skipped: dropping them now is exactly what the
-  // running engine would eventually do, and fire order is unaffected
-  // because pop order is a total order on the unique (time, seq) key.
-  std::uint32_t n_live = 0;
-  for (const Entry& e : queue_.entries()) {
-    if (entry_live(e)) ++n_live;
-  }
-  DMSIM_ASSERT(n_live == live_, "heap live entries out of sync with slab");
-  writer.u32(n_live);
-  for (const Entry& e : queue_.entries()) {
-    if (!entry_live(e)) continue;
-    writer.f64(e.time);
-    writer.u64(e.seq);
-    writer.u32(e.slot);
-    writer.u32(e.generation);
-  }
-}
-
-void Engine::restore_state(snapshot::Reader& reader) {
-  reader.expect_section(kEngineSection, "engine");
-  now_ = reader.f64();
-  next_seq_ = reader.u64();
-  executed_ = reader.u64();
-  const std::uint64_t live = reader.u64();
-  const std::uint32_t n_slots = reader.u32();
-  slots_.clear();
-  slots_.resize(n_slots);
-  std::uint64_t occupied = 0;
-  for (Slot& s : slots_) {
-    s.occupied = reader.boolean();
-    s.generation = reader.u32();
-    if (s.generation == 0) {
-      throw snapshot::SnapshotError("snapshot: slot generation 0 is reserved");
-    }
-    if (!s.occupied) continue;
-    ++occupied;
-    s.trace_id = reader.u64();
-    const std::uint8_t type = reader.u8();
+    ar.u64(s.trace_id);
+    ar.u8(s.payload.type);
+    const auto type = static_cast<std::uint8_t>(s.payload.type);
     if (type == 0 || type > kMaxEventType) {
       throw snapshot::SnapshotError("snapshot: unknown event type " +
                                     std::to_string(int{type}));
     }
-    s.payload.type = static_cast<EventType>(type);
-    s.payload.job = reader.u32();
-    s.payload.index = reader.u64();
+    ar.u32(s.payload.job);
+    ar.u64(s.payload.index);
+  });
+  ar.require(occupied == live,
+             "snapshot: occupied slot count does not match live event count");
+  ar.seq(self.free_slots_, [&](auto& f) {
+    ar.u32(f);
+    ar.require(f < self.slots_.size() && !self.slots_[f].occupied,
+               "snapshot: free list names a live slot");
+  });
+  // Live heap entries in internal heap order. Stale entries (cancelled, not
+  // yet lazily popped) are skipped: dropping them now is exactly what the
+  // running engine would eventually do, and fire order is unaffected
+  // because pop order is a total order on the unique (time, seq) key.
+  std::vector<Entry> entries;
+  if constexpr (!Ar::kLoading) {
+    entries = self.queue_.entries();
+    std::erase_if(entries, [&](const Entry& e) { return !self.entry_live(e); });
+    DMSIM_ASSERT(entries.size() == live,
+                 "heap live entries out of sync with slab");
   }
-  if (occupied != live) {
-    throw snapshot::SnapshotError(
-        "snapshot: occupied slot count does not match live event count");
+  ar.seq(entries, [&](auto& e) {
+    ar.f64(e.time);
+    ar.u64(e.seq);
+    ar.u32(e.slot);
+    ar.u32(e.generation);
+    ar.require(e.slot < self.slots_.size() && self.entry_live(e),
+               "snapshot: heap entry refers to a dead slot");
+    ar.require(!(e.time < self.now_), "snapshot: pending event in the past");
+  });
+  ar.require(entries.size() == live,
+             "snapshot: heap entry count does not match live event count");
+  if constexpr (Ar::kLoading) {
+    self.queue_.clear();
+    for (const Entry& e : entries) self.queue_.push(e);
+    self.live_ = entries.size();
   }
-  free_slots_.clear();
-  const std::uint32_t n_free = reader.u32();
-  free_slots_.reserve(n_free);
-  for (std::uint32_t i = 0; i < n_free; ++i) {
-    const std::uint32_t f = reader.u32();
-    if (f >= n_slots || slots_[f].occupied) {
-      throw snapshot::SnapshotError("snapshot: free list names a live slot");
-    }
-    free_slots_.push_back(f);
-  }
-  queue_.clear();
-  live_ = 0;
-  const std::uint32_t n_entries = reader.u32();
-  for (std::uint32_t i = 0; i < n_entries; ++i) {
-    Entry e{};
-    e.time = reader.f64();
-    e.seq = reader.u64();
-    e.slot = reader.u32();
-    e.generation = reader.u32();
-    if (e.slot >= n_slots || !entry_live(e)) {
-      throw snapshot::SnapshotError(
-          "snapshot: heap entry refers to a dead slot");
-    }
-    if (e.time < now_) {
-      throw snapshot::SnapshotError("snapshot: pending event in the past");
-    }
-    queue_.push(e);
-    ++live_;
-  }
-  if (live_ != live) {
-    throw snapshot::SnapshotError(
-        "snapshot: heap entry count does not match live event count");
-  }
+}
+
+void Engine::save_state(snapshot::Writer& writer) const {
+  io(*this, snapshot::Saver(writer));
+}
+
+void Engine::restore_state(snapshot::Reader& reader) {
+  io(*this, snapshot::Loader(reader));
 }
 
 }  // namespace dmsim::sim

@@ -222,6 +222,10 @@ class Engine : public obs::Clock {
   /// shared tail of schedule() and schedule_typed().
   EventId enqueue_slot(Seconds when, std::uint32_t slot);
 
+  /// The snapshot section's field list, run by save_state / restore_state.
+  template <class Self, class Ar>
+  static void io(Self& self, Ar&& ar);
+
   EventHandler* handler_ = nullptr;
   EventHeap queue_;
   std::vector<Slot> slots_;

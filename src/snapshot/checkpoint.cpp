@@ -7,8 +7,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
+#include <span>
 
 #include "cluster/cluster.hpp"
 #include "obs/counters.hpp"
@@ -23,9 +23,6 @@
 namespace dmsim::snapshot {
 
 namespace {
-
-// Version history lives with the public constants in checkpoint.hpp.
-constexpr std::uint32_t kVersion = kFormatVersion;
 
 [[nodiscard]] double elapsed_since(
     std::chrono::steady_clock::time_point start) {
@@ -57,114 +54,60 @@ void check_components(const Components& c) {
 
 namespace detail {
 
+namespace {
+
+template <class Snap, class Ar>
+void io(Snap& snap, Ar&& ar) {
+  ar.seq(snap.counters, [&](auto& c) {
+    ar.str(c.name);
+    ar.u64(c.value);
+  });
+  ar.seq(snap.gauges, [&](auto& g) {
+    ar.str(g.name);
+    ar.i64(g.value);
+    ar.i64(g.high_water);
+  });
+  ar.seq(snap.histograms, [&](auto& h) {
+    ar.str(h.name);
+    ar.u64(h.count);
+    ar.i64(h.sum);
+    ar.i64(h.min);
+    ar.i64(h.max);
+    ar.seq(h.buckets, [&](auto& bucket) {
+      ar.u32(bucket.first);
+      ar.u64(bucket.second);
+    });
+  });
+  ar.seq(snap.series, [&](auto& s) {
+    ar.str(s.name);
+    ar.f64(s.window_width);
+    ar.seq(s.points, [&](auto& p) {
+      ar.i64(p.window);
+      ar.u64(p.count);
+      ar.i64(p.sum);
+      ar.i64(p.min);
+      ar.i64(p.max);
+    });
+  });
+}
+
+}  // namespace
+
 void save_counters_section(Writer& w, const obs::Counters* counters) {
   w.section(kCountersSection);
   w.boolean(counters != nullptr);
   if (counters == nullptr) return;
   const obs::CountersSnapshot snap = counters->snapshot();
-  w.u32(static_cast<std::uint32_t>(snap.counters.size()));
-  for (const auto& c : snap.counters) {
-    w.str(c.name);
-    w.u64(c.value);
-  }
-  w.u32(static_cast<std::uint32_t>(snap.gauges.size()));
-  for (const auto& g : snap.gauges) {
-    w.str(g.name);
-    w.i64(g.value);
-    w.i64(g.high_water);
-  }
-  w.u32(static_cast<std::uint32_t>(snap.histograms.size()));
-  for (const auto& h : snap.histograms) {
-    w.str(h.name);
-    w.u64(h.count);
-    w.i64(h.sum);
-    w.i64(h.min);
-    w.i64(h.max);
-    w.u32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (const auto& [bucket, n] : h.buckets) {
-      w.u32(bucket);
-      w.u64(n);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(snap.series.size()));
-  for (const auto& s : snap.series) {
-    w.str(s.name);
-    w.f64(s.window_width);
-    w.u32(static_cast<std::uint32_t>(s.points.size()));
-    for (const auto& p : s.points) {
-      w.i64(p.window);
-      w.u64(p.count);
-      w.i64(p.sum);
-      w.i64(p.min);
-      w.i64(p.max);
-    }
-  }
+  io(snap, Saver(w));
 }
 
 void restore_counters_section(Reader& r, obs::Counters* counters) {
   r.expect_section(kCountersSection, "counters");
-  const bool present = r.boolean();
-  if (!present) {
-    // The saving run carried no registry. Zero ours so replay-time bumps
-    // (workload submission) do not linger as phantom counts.
-    if (counters != nullptr) counters->restore(obs::CountersSnapshot{});
-    return;
-  }
   obs::CountersSnapshot snap;
-  const std::uint32_t n_counters = r.u32();
-  snap.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    obs::CountersSnapshot::Counter c;
-    c.name = std::string(r.str());
-    c.value = r.u64();
-    snap.counters.push_back(std::move(c));
-  }
-  const std::uint32_t n_gauges = r.u32();
-  snap.gauges.reserve(n_gauges);
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    obs::CountersSnapshot::GaugeEntry g;
-    g.name = std::string(r.str());
-    g.value = r.i64();
-    g.high_water = r.i64();
-    snap.gauges.push_back(std::move(g));
-  }
-  const std::uint32_t n_histograms = r.u32();
-  snap.histograms.reserve(n_histograms);
-  for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    obs::CountersSnapshot::HistogramEntry h;
-    h.name = std::string(r.str());
-    h.count = r.u64();
-    h.sum = r.i64();
-    h.min = r.i64();
-    h.max = r.i64();
-    const std::uint32_t n_buckets = r.u32();
-    h.buckets.reserve(n_buckets);
-    for (std::uint32_t b = 0; b < n_buckets; ++b) {
-      const std::uint32_t bucket = r.u32();
-      const std::uint64_t count = r.u64();
-      h.buckets.emplace_back(bucket, count);
-    }
-    snap.histograms.push_back(std::move(h));
-  }
-  const std::uint32_t n_series = r.u32();
-  snap.series.reserve(n_series);
-  for (std::uint32_t i = 0; i < n_series; ++i) {
-    obs::CountersSnapshot::SeriesEntry s;
-    s.name = std::string(r.str());
-    s.window_width = r.f64();
-    const std::uint32_t n_points = r.u32();
-    s.points.reserve(n_points);
-    for (std::uint32_t p = 0; p < n_points; ++p) {
-      obs::TimeSeries::Point point;
-      point.window = r.i64();
-      point.count = r.u64();
-      point.sum = r.i64();
-      point.min = r.i64();
-      point.max = r.i64();
-      s.points.push_back(point);
-    }
-    snap.series.push_back(std::move(s));
-  }
+  // An absent section (the saving run carried no registry) restores as an
+  // empty snapshot, so replay-time bumps (workload submission) do not
+  // linger as phantom counts.
+  if (r.boolean()) io(snap, Loader(r));
   // A restore target without a registry simply drops the section.
   if (counters != nullptr) counters->restore(snap);
 }
@@ -193,19 +136,22 @@ std::uint64_t config_fingerprint(const cluster::Cluster& cl,
                                  const sched::SchedulerConfig& sc,
                                  const trace::Workload& jobs) {
   Writer w;
-  // Cluster topology + lender policy. Byte-for-byte the same hash input as
-  // before the columnar ledger: node count, then (capacity, cores, large)
-  // per node in id order — so v2-era fingerprints keep matching.
+  // The hash input layout is frozen: the fingerprint is in every snapshot
+  // header and in serve `info` replies, both pinned byte for byte by
+  // checkpoint_golden_test and perfbench/identity.txt. So the layout only
+  // grows by conditional appends that leave existing configurations' bytes
+  // alone. Cluster topology + lender policy: node count, then (capacity,
+  // cores, large) per node in id order.
   w.u32(static_cast<std::uint32_t>(cl.node_count()));
-  for (const cluster::Node& n : cl.nodes()) {
-    w.i64(n.capacity);
-    w.i64(n.cores);
-    w.boolean(n.large);
+  const std::span<const MiB> capacity = cl.capacity_column();
+  for (std::uint32_t i = 0; i < capacity.size(); ++i) {
+    w.i64(capacity[i]);
+    w.i64(cl.cores_of(NodeId{i}));
+    w.boolean(cl.is_large(NodeId{i}));
   }
   w.u8(static_cast<std::uint8_t>(cl.lender_policy()));
-  // Memory-tier topology — appended ONLY when non-degenerate, so every
-  // fingerprint computed before tiers existed (necessarily flat) still
-  // matches byte for byte and v2/v3-era snapshots keep restoring.
+  // Memory-tier topology — appended ONLY when non-degenerate, so a flat
+  // topology hashes exactly as it did before tiers existed.
   if (cl.tiered()) {
     w.u32(static_cast<std::uint32_t>(cl.tiers().size()));
     for (const cluster::MemoryTier& t : cl.tiers()) {
@@ -231,9 +177,8 @@ std::uint64_t config_fingerprint(const cluster::Cluster& cl,
   w.i64(sc.max_restarts);
   w.boolean(sc.enforce_walltime);
   w.f64(sc.sample_interval);
-  // Monitor model — appended ONLY for non-oracle monitors, so every
-  // fingerprint computed before the monitor subsystem existed (necessarily
-  // oracle) still matches byte for byte and v2..v4 snapshots keep restoring.
+  // Monitor model — appended ONLY for non-oracle monitors, so an oracle
+  // configuration hashes exactly as it did before monitors existed.
   if (sc.monitor.kind != monitor::MonitorKind::Oracle) {
     w.u8(static_cast<std::uint8_t>(sc.monitor.kind));
     w.f64(sc.monitor.relative_error);
@@ -275,6 +220,15 @@ std::uint64_t config_fingerprint(const Components& components) {
                             components.scheduler->workload());
 }
 
+std::string hex_u64(std::uint64_t v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string s(16, '0');
+  for (int i = 15; i >= 0; --i, v >>= 4) {
+    s[static_cast<std::size_t>(i)] = kHex[v & 0xfU];
+  }
+  return s;
+}
+
 std::string save_bytes(const Components& components) {
   check_components(components);
   Writer payload;
@@ -294,7 +248,7 @@ std::string save_bytes(const Components& components) {
 
   Writer out;
   for (const char c : detail::kMagic) out.u8(static_cast<std::uint8_t>(c));
-  out.u32(kVersion);
+  out.u32(kFormatVersion);
   out.u64(config_fingerprint(components));
   out.u64(payload.buffer().size());
   const std::uint64_t checksum = util::fnv1a(payload.buffer());
@@ -303,7 +257,7 @@ std::string save_bytes(const Components& components) {
   Writer tail;
   tail.u64(checksum);
   // Section table: self-checksummed trailer AFTER the payload checksum (see
-  // detail::kTocSection). Readers that predate it stop at the checksum.
+  // detail::kTocSection).
   tail.section(detail::kTocSection);
   constexpr std::uint32_t kSectionCount = 5;
   tail.u32(kSectionCount);
@@ -393,27 +347,19 @@ void save_file(const std::string& path, const Components& components,
 void restore_file(const std::string& path, const Components& components,
                   Stats* stats) {
   const auto start = std::chrono::steady_clock::now();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw SnapshotError("snapshot: cannot open '" + path + "' for reading");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw SnapshotError("snapshot: read error on '" + path + "'");
-  }
-  const std::size_t total_bytes = bytes.size();
+  check_components(components);
+  // Restores are usually several layers from the CLI flag that named the
+  // file; without the path a "checksum mismatch" is unactionable. open()
+  // names it in its own errors.
+  const std::shared_ptr<const Image> image = Image::open(path);
   try {
-    check_components(components);
-    Image::from_bytes(std::move(bytes))->materialize(components);
+    image->materialize(components);
   } catch (const SnapshotError& e) {
-    // Restores are usually several layers from the CLI flag that named the
-    // file; without the path a "checksum mismatch" is unactionable.
     throw SnapshotError("restoring '" + path + "': " + e.what());
   }
   if (stats != nullptr) {
     ++stats->restores;
-    stats->bytes_read += total_bytes;
+    stats->bytes_read += image->size_bytes();
     stats->restore_seconds += elapsed_since(start);
   }
 }

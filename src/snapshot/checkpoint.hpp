@@ -4,7 +4,7 @@
 // cluster, scheduler, counters) into one versioned, checksummed snapshot:
 //
 //   "DMSIMSNP" | u32 version | u64 config fingerprint | u64 payload size |
-//   payload sections | u64 FNV-1a(payload)
+//   payload sections | u64 FNV-1a(payload) | section table
 //
 // The workload and system configuration are deliberately NOT serialized —
 // they are regenerated deterministically from the run configuration, and
@@ -44,21 +44,16 @@ struct SchedulerConfig;
 
 namespace dmsim::snapshot {
 
-/// Snapshot envelope format version written by save_bytes, and the oldest
-/// version restore_bytes still reads. Exposed so tools (dmsim_run
-/// --version) report the real format instead of a hardcoded string.
-///   v2: counters section gained histogram and time-series state.
-///   v3: cluster occupancy ledger stored as whole columns.
-///   v4: cluster section carries the memory-tier table plus per-node
-///       tier/rack columns (v3/v2 files predate tiers and can only describe
-///       flat topologies, so they stay readable).
-///   v5: scheduler section carries per-running-job monitor fold state
-///       (overhead factor, provisioned MiB) plus the memory-monitor's
-///       per-job state (noise counters / adaptive regions). Older files
-///       predate the monitor subsystem — necessarily oracle runs — and
-///       restore with oracle-equivalent defaults.
+/// The one snapshot format: save_bytes writes it and restore reads nothing
+/// else. Exposed so tools (dmsim_run --version, serve info replies) report
+/// the real format instead of a hardcoded string. Snapshots are per-run
+/// working files, so a layout change bumps the version and older files are
+/// refused with a typed "unsupported version" error instead of being
+/// converted. v5 is the first layout with every current section: the
+/// columnar cluster ledger led by the memory-tier table, per-running-job
+/// monitor fold state and the monitor's per-job state, and the section
+/// table trailer (a file without one is refused too).
 inline constexpr std::uint32_t kFormatVersion = 5;
-inline constexpr std::uint32_t kMinFormatVersion = 2;
 
 /// The simulation objects a checkpoint spans. All pointers are borrowed;
 /// `counters` may be nullptr (counter state is then neither saved nor
@@ -116,6 +111,10 @@ struct Plan {
     const cluster::Cluster& cluster, const sched::SchedulerConfig& config,
     const trace::Workload& workload);
 
+/// `v` as 16 lowercase hex digits: how fingerprints and checksums are shown
+/// (dmsim_run --snapshot-info, serve info replies and errors).
+[[nodiscard]] std::string hex_u64(std::uint64_t v);
+
 /// Serialize the full simulation state to snapshot bytes (envelope
 /// included). Const in effect: the simulation is not perturbed.
 [[nodiscard]] std::string save_bytes(const Components& components);
@@ -131,7 +130,8 @@ void restore_bytes(std::string_view bytes, const Components& components);
 void save_file(const std::string& path, const Components& components,
                Stats* stats = nullptr);
 
-/// Read + restore_bytes. Updates `stats` when non-null.
+/// Image::open + materialize; errors name the path. Updates `stats` when
+/// non-null.
 void restore_file(const std::string& path, const Components& components,
                   Stats* stats = nullptr);
 

@@ -20,15 +20,14 @@ inline constexpr std::string_view kMagic = "DMSIMSNP";
 inline constexpr std::uint32_t kCountersSection = section_tag('C', 'N', 'T', 'R');
 inline constexpr std::uint32_t kEndSection = section_tag('E', 'N', 'D', '.');
 
-/// Optional section-table trailer appended AFTER the payload checksum:
+/// Section-table trailer appended AFTER the payload checksum:
 ///
 ///   u32 'TOC.' | u32 count | count x (u32 tag, u64 offset, u64 size,
 ///   u64 FNV-1a(section)) | u64 FNV-1a(trailer bytes before this field)
 ///
-/// It is self-describing and self-checksummed, so readers that predate it
-/// never see it (they stop at the payload checksum) and envelope parsing can
-/// tell a valid trailer from trailing garbage. Living outside the payload
-/// keeps the format version at 5 and every pre-trailer file readable.
+/// Every v5 file ends with it; the reader refuses a file without one. It is
+/// self-checksummed, so the envelope parse tells a valid trailer from
+/// trailing garbage and can index the payload without decoding it.
 inline constexpr std::uint32_t kTocSection = section_tag('T', 'O', 'C', '.');
 
 /// Counters-registry section codec (section kCountersSection). Defined in

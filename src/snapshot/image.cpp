@@ -61,15 +61,17 @@ void Image::parse_envelope() {
     }
   }
   version_ = header.u32();
-  if (version_ < kMinFormatVersion || version_ > kFormatVersion) {
+  if (version_ != kFormatVersion) {
     throw SnapshotError("snapshot: unsupported version " +
-                        std::to_string(version_) + " (expected " +
-                        std::to_string(kMinFormatVersion) + ".." +
-                        std::to_string(kFormatVersion) + ")");
+                        std::to_string(version_) + " (this build reads v" +
+                        std::to_string(kFormatVersion) + " only)");
   }
   fingerprint_ = header.u64();
   payload_size_ = header.u64();
-  if (header.remaining() < payload_size_ + 8) {
+  // Compare without adding: payload_size_ + 8 wraps for a declared size
+  // within 8 of 2^64.
+  if (payload_size_ > header.remaining() ||
+      header.remaining() - payload_size_ < 8) {
     throw SnapshotError("snapshot: truncated payload");
   }
   payload_offset_ = header.position();
@@ -78,54 +80,47 @@ void Image::parse_envelope() {
   if (payload_checksum_ != util::fnv1a(payload())) {
     throw SnapshotError("snapshot: payload checksum mismatch — corrupt file");
   }
-  if (tail.at_end()) {
-    // Pre-trailer file: valid, just not indexable without a full parse.
-    has_toc_ = false;
-    return;
-  }
-  // Anything after the payload checksum must be a complete, self-checksummed
-  // section table; otherwise the file is corrupt (the historical behaviour
-  // for unexpected trailing bytes, which a cut-off trailer also hits).
+  // The payload checksum is followed by the section table, whose last 8
+  // bytes checksum the rest of it. Integrity first, then structure: any
+  // corruption of the table is a checksum mismatch, and the entries parsed
+  // below are exactly what the writer produced.
   const std::string_view trailer =
       std::string_view(bytes_).substr(payload_offset_ + payload_size_ + 8);
-  try {
-    Reader toc(trailer);
-    toc.expect_section(detail::kTocSection, "section table");
-    const std::uint32_t count = toc.u32();
-    std::vector<SectionInfo> sections;
-    sections.reserve(count);
-    std::uint64_t expected_next = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      SectionInfo info;
-      info.tag = toc.u32();
-      info.offset = toc.u64();
-      info.size = toc.u64();
-      info.checksum = toc.u64();
-      info.name = decode_tag(info.tag);
-      // Entries must tile the payload exactly: contiguous, in order, ending
-      // at the payload boundary.
-      if (info.offset != expected_next ||
-          info.size > payload_size_ - info.offset) {
-        throw SnapshotError("snapshot: section table out of bounds");
-      }
-      expected_next = info.offset + info.size;
-      sections.push_back(std::move(info));
+  if (trailer.size() < 8) {
+    throw SnapshotError("snapshot: no section table after the payload");
+  }
+  const std::string_view table = trailer.substr(0, trailer.size() - 8);
+  if (Reader(trailer.substr(table.size())).u64() != util::fnv1a(table)) {
+    throw SnapshotError("snapshot: section table checksum mismatch");
+  }
+  Reader toc(table);
+  toc.expect_section(detail::kTocSection, "section table");
+  const std::uint32_t count = toc.u32();
+  constexpr std::size_t kEntryBytes = 4 + 8 + 8 + 8;
+  if (count != toc.remaining() / kEntryBytes ||
+      toc.remaining() % kEntryBytes != 0) {
+    throw SnapshotError("snapshot: section table size mismatch");
+  }
+  sections_.reserve(count);
+  std::uint64_t expected_next = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    SectionInfo info;
+    info.tag = toc.u32();
+    info.offset = toc.u64();
+    info.size = toc.u64();
+    info.checksum = toc.u64();
+    info.name = decode_tag(info.tag);
+    // Entries must tile the payload exactly: contiguous, in order, ending
+    // at the payload boundary.
+    if (info.offset != expected_next ||
+        info.size > payload_size_ - info.offset) {
+      throw SnapshotError("snapshot: section table out of bounds");
     }
-    if (expected_next != payload_size_) {
-      throw SnapshotError("snapshot: section table does not cover payload");
-    }
-    const std::uint64_t toc_checksum =
-        util::fnv1a(trailer.substr(0, toc.position()));
-    if (toc.u64() != toc_checksum) {
-      throw SnapshotError("snapshot: section table checksum mismatch");
-    }
-    if (!toc.at_end()) {
-      throw SnapshotError("snapshot: bytes after section table");
-    }
-    sections_ = std::move(sections);
-    has_toc_ = true;
-  } catch (const SnapshotError&) {
-    throw SnapshotError("snapshot: trailing bytes after checksum");
+    expected_next = info.offset + info.size;
+    sections_.push_back(std::move(info));
+  }
+  if (expected_next != payload_size_) {
+    throw SnapshotError("snapshot: section table does not cover payload");
   }
 }
 
@@ -135,8 +130,8 @@ void Image::restore_components(const Components& components) const {
                "image restore needs engine, cluster and scheduler");
   Reader r(payload());
   components.engine->restore_state(r);
-  components.cluster->restore_state(r, version_);
-  components.scheduler->restore_state(r, version_);
+  components.cluster->restore_state(r);
+  components.scheduler->restore_state(r);
   detail::restore_counters_section(r, components.counters);
   r.expect_section(detail::kEndSection, "end");
   if (!r.at_end()) {

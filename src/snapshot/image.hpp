@@ -1,8 +1,8 @@
 // Immutable, shareable snapshot images.
 //
 // snapshot::Image is the read side of the two-level snapshot model: the
-// envelope (magic, version, fingerprint, payload checksum, optional section
-// table) is parsed and validated ONCE at open time, after which the image is
+// envelope (magic, version, fingerprint, payload checksum, section table)
+// is parsed and validated ONCE at open time, after which the image is
 // an immutable, refcounted byte container that any number of threads may
 // materialize concurrently. A what-if service forking the same warm image a
 // thousand times pays the file read, the checksum sweep and the envelope
@@ -43,8 +43,9 @@ struct SectionInfo {
 class Image {
  public:
   /// Read + parse + validate a snapshot file. Throws SnapshotError (with the
-  /// path in the message) on I/O errors, corruption, truncation or
-  /// unsupported versions. The returned image is immutable and thread-safe.
+  /// path in the message) on I/O errors, corruption, truncation, a missing
+  /// section table or any version but kFormatVersion. The returned image is
+  /// immutable and thread-safe.
   [[nodiscard]] static std::shared_ptr<const Image> open(
       const std::string& path);
 
@@ -67,12 +68,10 @@ class Image {
   [[nodiscard]] std::size_t size_bytes() const noexcept {
     return bytes_.size();
   }
-  /// Section table from the envelope trailer. Empty for files written
-  /// before the trailer existed (has_section_table() distinguishes).
+  /// Section table from the envelope trailer.
   [[nodiscard]] const std::vector<SectionInfo>& sections() const noexcept {
     return sections_;
   }
-  [[nodiscard]] bool has_section_table() const noexcept { return has_toc_; }
 
   /// Restore the image's state onto freshly constructed components, with the
   /// full fingerprint recomputation of restore_bytes (hashes topology,
@@ -100,7 +99,6 @@ class Image {
   std::size_t payload_offset_ = 0;
   std::size_t payload_size_ = 0;
   std::vector<SectionInfo> sections_;
-  bool has_toc_ = false;
 };
 
 }  // namespace dmsim::snapshot

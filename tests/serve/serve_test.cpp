@@ -17,6 +17,7 @@
 
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
+#include "metrics/json_export.hpp"
 #include "serve/image_cache.hpp"
 #include "serve/json.hpp"
 #include "serve/query.hpp"
@@ -66,7 +67,7 @@ TEST(ServeJson, RejectsMalformedInput) {
 
 TEST(ServeJson, EscapesRoundTrip) {
   const std::string raw = "line\none \"two\" \\three\t";
-  const std::string quoted = "\"" + serve::json_escape(raw) + "\"";
+  const std::string quoted = "\"" + metrics::json_escape(raw) + "\"";
   EXPECT_EQ(serve::json_parse(quoted).string, raw);
 }
 

@@ -1,17 +1,12 @@
-// Snapshot format-version compatibility (v5 scheduler monitor state).
-//
-// v5 appends per-running-job monitor fold state plus the memory-monitor's
-// own per-job section; v4 leads the cluster section with the memory-tier
-// table and the per-node tier/rack columns; v3 stored the occupancy ledger
-// as whole columns with no tier data; v2 stored one interleaved record per
-// node. Contracts pinned here:
-//   * hand-written v2 (interleaved) and v3 (columnar, tierless) cluster
-//     sections restore into today's ledger bit-for-bit (read-compat for
-//     old snapshot files) and re-save deterministically as v5,
-//   * a v4 whole-file snapshot (pre-monitor, so necessarily an oracle run)
-//     restores with oracle-equivalent monitor defaults,
+// Snapshot format contracts. save_bytes writes format v5 with its section
+// table, and the reader accepts exactly that. Pinned here:
 //   * a full v5 snapshot round-trips — flat and tiered — with restore +
 //     re-save byte-identical, and the header carries version 5,
+//   * any other header version (an older v4 file included) is refused with
+//     "unsupported version", and a file without the section table with a
+//     typed SnapshotError,
+//   * the cluster section cross-checks the tier topology and rejects an
+//     out-of-range ledger,
 //   * corrupt payloads, truncation, bad magic and out-of-range versions are
 //     rejected loudly before any component state is touched, and file-level
 //     restore errors name the offending path.
@@ -30,6 +25,7 @@
 #include "sim/engine.hpp"
 #include "slowdown/model.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "snapshot/image.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -41,8 +37,8 @@ cluster::ClusterConfig small_config() {
   return cluster::make_cluster_config(8, gib(64), 4, gib(128));
 }
 
-/// Two jobs with local shares and borrow edges: enough ledger structure to
-/// make an interleaved-vs-columnar mixup visible.
+/// Two jobs with local shares and borrow edges: enough ledger structure for
+/// a cluster section that carries slots and edges.
 void populate(cluster::Cluster& c) {
   const JobId j1{1};
   const JobId j2{2};
@@ -55,147 +51,42 @@ void populate(cluster::Cluster& c) {
   (void)c.grow_remote(j2, NodeId{9}, gib(8));
 }
 
-TEST(SnapshotCompat, V2InterleavedClusterSectionRestores) {
-  cluster::Cluster src(small_config());
-  populate(src);
-  src.check_invariants();
-
-  // Serialize src in the v2 layout by hand: one (running_job, local_used,
-  // lent) record per node. The job/slot part and the trailing totals are
-  // unchanged between v2 and v3.
-  snapshot::Writer w;
-  w.section(snapshot::section_tag('C', 'L', 'U', 'S'));
-  const std::size_t n = src.node_count();
-  w.u32(static_cast<std::uint32_t>(n));
-  const auto running = src.running_job_column();
-  const auto local = src.local_used_column();
-  const auto lent = src.lent_column();
-  for (std::size_t i = 0; i < n; ++i) {
-    w.u32(running[i]);
-    w.i64(local[i]);
-    w.i64(lent[i]);
-  }
-  const std::vector<std::uint32_t> jobs = {1, 2};
-  w.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const std::uint32_t job : jobs) {
-    const auto hosts = src.hosts_of(JobId{job});
-    w.u32(job);
-    w.u32(static_cast<std::uint32_t>(hosts.size()));
-    for (const NodeId h : hosts) {
-      const cluster::AllocationSlot& slot = src.slot(JobId{job}, h);
-      w.u32(h.get());
-      w.i64(slot.local);
-      w.u32(static_cast<std::uint32_t>(slot.remote.size()));
-      for (const auto& [lender, amount] : slot.remote) {
-        w.u32(lender.get());
-        w.i64(amount);
-      }
-    }
-  }
-  w.i64(src.total_allocated());
-  w.i64(src.total_lent());
-  w.u64(src.change_epoch());
-
-  cluster::Cluster dst(small_config());
-  snapshot::Reader r(w.buffer());
-  dst.restore_state(r, /*format_version=*/2);
-  EXPECT_TRUE(r.at_end());
-  dst.set_debug_parity(true);
-  dst.check_invariants();
-
-  // Bit-for-bit equivalence with the source ledger: re-saving dst in the
-  // current (v4) format reproduces src's bytes exactly.
-  snapshot::Writer from_src;
-  snapshot::Writer from_dst;
-  src.save_state(from_src);
-  dst.save_state(from_dst);
-  EXPECT_EQ(from_src.buffer(), from_dst.buffer());
-  EXPECT_EQ(dst.total_allocated(), src.total_allocated());
-  EXPECT_EQ(dst.total_lent(), src.total_lent());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(dst.free_column()[i], src.free_column()[i]) << "node " << i;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src_edges = src.borrowers_of(NodeId{static_cast<std::uint32_t>(i)});
-    const auto dst_edges = dst.borrowers_of(NodeId{static_cast<std::uint32_t>(i)});
-    ASSERT_EQ(src_edges.size(), dst_edges.size()) << "lender " << i;
-    for (std::size_t e = 0; e < src_edges.size(); ++e) {
-      EXPECT_EQ(src_edges[e].job, dst_edges[e].job);
-      EXPECT_EQ(src_edges[e].host, dst_edges[e].host);
-      EXPECT_EQ(src_edges[e].amount, dst_edges[e].amount);
-    }
-  }
-}
-
-TEST(SnapshotCompat, V2RejectsOutOfRangeLedger) {
+TEST(SnapshotCompat, RejectsOutOfRangeLedger) {
   // local + lent beyond capacity must be caught at restore, not later.
+  const cluster::ClusterConfig cfg = small_config();
+  cluster::Cluster c(cfg);
   snapshot::Writer w;
   w.section(snapshot::section_tag('C', 'L', 'U', 'S'));
-  const cluster::ClusterConfig cfg = small_config();
-  w.u32(static_cast<std::uint32_t>(cfg.nodes.size()));
-  for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
-    w.u32(NodeId::kInvalid);
-    w.i64(i == 0 ? gib(1024) : 0);  // node 0 claims 1 TiB used on 64 GiB
-    w.i64(0);
+  const std::size_t n = c.node_count();
+  w.u32(static_cast<std::uint32_t>(n));
+  w.u32(static_cast<std::uint32_t>(c.tiers().size()));
+  for (const cluster::MemoryTier& t : c.tiers()) {
+    w.str(t.name);
+    w.f64(t.latency_ns);
+    w.f64(t.bandwidth_gbs);
+    w.u8(static_cast<std::uint8_t>(t.scope));
   }
+  for (const std::uint8_t t : c.tier_column()) w.u8(t);
+  for (const std::uint16_t r : c.rack_column()) w.u32(r);
+  for (std::size_t i = 0; i < n; ++i) w.u32(NodeId::kInvalid);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.i64(i == 0 ? gib(1024) : 0);  // node 0 claims 1 TiB used on 64 GiB
+  }
+  for (std::size_t i = 0; i < n; ++i) w.i64(0);
   w.u32(0);  // no jobs
   w.i64(gib(1024));
   w.i64(0);
   w.u64(0);
 
-  cluster::Cluster c(cfg);
   snapshot::Reader r(w.buffer());
-  EXPECT_THROW(c.restore_state(r, /*format_version=*/2),
-               snapshot::SnapshotError);
-}
-
-TEST(SnapshotCompat, V3ColumnarTierlessSectionRestores) {
-  // A v3 file carries the occupancy columns but no tier table — exactly
-  // what every pre-tier snapshot on disk looks like. It must restore into
-  // today's ledger and re-save (as v4) bit-identically to a native save.
-  cluster::Cluster src(small_config());
-  populate(src);
-
-  snapshot::Writer w;
-  w.section(snapshot::section_tag('C', 'L', 'U', 'S'));
-  const std::size_t n = src.node_count();
-  w.u32(static_cast<std::uint32_t>(n));
-  for (const std::uint32_t rj : src.running_job_column()) w.u32(rj);
-  for (const MiB lu : src.local_used_column()) w.i64(lu);
-  for (const MiB le : src.lent_column()) w.i64(le);
-  const std::vector<std::uint32_t> jobs = {1, 2};
-  w.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const std::uint32_t job : jobs) {
-    const auto hosts = src.hosts_of(JobId{job});
-    w.u32(job);
-    w.u32(static_cast<std::uint32_t>(hosts.size()));
-    for (const NodeId h : hosts) {
-      const cluster::AllocationSlot& slot = src.slot(JobId{job}, h);
-      w.u32(h.get());
-      w.i64(slot.local);
-      w.u32(static_cast<std::uint32_t>(slot.remote.size()));
-      for (const auto& [lender, amount] : slot.remote) {
-        w.u32(lender.get());
-        w.i64(amount);
-      }
-    }
+  try {
+    c.restore_state(r);
+    FAIL() << "out-of-range ledger restored";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("node ledger out of range"),
+              std::string::npos)
+        << e.what();
   }
-  w.i64(src.total_allocated());
-  w.i64(src.total_lent());
-  w.u64(src.change_epoch());
-
-  cluster::Cluster dst(small_config());
-  snapshot::Reader r(w.buffer());
-  dst.restore_state(r, /*format_version=*/3);
-  EXPECT_TRUE(r.at_end());
-  dst.set_debug_parity(true);
-  dst.check_invariants();
-
-  snapshot::Writer from_src;
-  snapshot::Writer from_dst;
-  src.save_state(from_src);
-  dst.save_state(from_dst);
-  EXPECT_EQ(from_src.buffer(), from_dst.buffer());
 }
 
 TEST(SnapshotCompat, V4RejectsMismatchedTierTopology) {
@@ -219,19 +110,19 @@ TEST(SnapshotCompat, V4RejectsMismatchedTierTopology) {
     other.tiers[1].latency_ns = 901.0;
     cluster::Cluster dst(other);
     snapshot::Reader r(w.buffer());
-    EXPECT_THROW(dst.restore_state(r, 4), snapshot::SnapshotError);
+    EXPECT_THROW(dst.restore_state(r), snapshot::SnapshotError);
   }
   {  // different node-to-tier assignment
     cluster::ClusterConfig other = cfg;
     other.nodes[0].tier = 1;
     cluster::Cluster dst(other);
     snapshot::Reader r(w.buffer());
-    EXPECT_THROW(dst.restore_state(r, 4), snapshot::SnapshotError);
+    EXPECT_THROW(dst.restore_state(r), snapshot::SnapshotError);
   }
   {  // the matching topology restores fine
     cluster::Cluster dst(cfg);
     snapshot::Reader r(w.buffer());
-    dst.restore_state(r, 4);
+    dst.restore_state(r);
     EXPECT_TRUE(r.at_end());
     dst.check_invariants();
   }
@@ -307,33 +198,45 @@ TEST(SnapshotCompat, V5RoundTripIsByteIdentical) {
   EXPECT_EQ(snapshot::save_bytes(target.components()), bytes);
 }
 
-TEST(SnapshotCompat, V4OracleSnapshotRestores) {
-  // Read-compat with pre-monitor (v4) files. Every v4 file was written by an
-  // oracle run, and an oracle scheduler section with no running jobs is
-  // byte-identical between v4 and v5: the per-running-job monitor fields
-  // contribute zero rows and the oracle monitor's state section is empty. So
-  // a save cut before any job starts, with the header version patched to 4,
-  // IS a well-formed v4 file (payload, size and checksum all unchanged) —
-  // and it must restore into today's scheduler with oracle-equivalent
-  // defaults, then re-save as v5 with the identical payload.
+TEST(SnapshotCompat, OlderFormatVersionIsRefused) {
+  // A v4 header in front of v5 bytes: the reader names the version instead
+  // of misparsing the sections.
   const workload::SyntheticWorkload w = mini_workload();
   MiniSim source(w);
-  const std::string v5 = snapshot::save_bytes(source.components());
-
-  std::string v4 = v5;
+  std::string v4 = snapshot::save_bytes(source.components());
   v4[8] = '\x04';  // version u32 little-endian at offset 8
   ASSERT_EQ(header_version(v4), 4U);
 
   MiniSim target(w);
-  snapshot::restore_bytes(v4, target.components());
-  target.cluster_->check_invariants();
-  EXPECT_EQ(snapshot::save_bytes(target.components()), v5);
+  try {
+    snapshot::restore_bytes(v4, target.components());
+    FAIL() << "v4 header accepted";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 4"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
-  // The restored run must finish exactly like the source run.
-  (void)source.scheduler_->run_ready(1e18);
-  (void)target.scheduler_->run_ready(1e18);
-  EXPECT_EQ(snapshot::save_bytes(target.components()),
-            snapshot::save_bytes(source.components()));
+TEST(SnapshotCompat, FileWithoutSectionTableIsRefused) {
+  // Cutting the trailer leaves header + payload + payload checksum, all
+  // intact: the layout of files written before the section table existed.
+  const workload::SyntheticWorkload w = mini_workload();
+  MiniSim source(w);
+  (void)source.scheduler_->run_ready(15000.0);
+  const std::string bytes = snapshot::save_bytes(source.components());
+  const std::size_t payload_size =
+      snapshot::Image::from_bytes(bytes)->payload().size();
+  const std::string no_toc = bytes.substr(0, 28 + payload_size + 8);
+
+  MiniSim target(w);
+  try {
+    snapshot::restore_bytes(no_toc, target.components());
+    FAIL() << "file without a section table accepted";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("section table"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SnapshotCompat, TieredRoundTripIsByteIdentical) {
@@ -380,7 +283,7 @@ TEST(SnapshotCompat, CorruptSnapshotsAreRejected) {
     bad[0] = 'X';
     EXPECT_THROW(snapshot::restore_bytes(bad, dst), snapshot::SnapshotError);
   }
-  {  // version below the compat window (v1) and above the writer (v6)
+  {  // versions below (v1) and above (v6) the one format
     for (const char v : {'\x01', '\x06'}) {
       std::string bad = bytes;
       bad[8] = v;
@@ -390,6 +293,79 @@ TEST(SnapshotCompat, CorruptSnapshotsAreRejected) {
   // The pristine bytes still restore after all those rejections.
   snapshot::restore_bytes(bytes, dst);
   target.cluster_->check_invariants();
+}
+
+TEST(SnapshotCompat, EveryBitFlipAndTruncationIsRefused) {
+  // Mutation sweep over a small mid-run snapshot. FNV-1a catches every
+  // single-byte change, so no single-bit flip and no truncation may restore:
+  // payload and section-table flips must fail at their checksum, header
+  // flips at the magic, version, size or fingerprint check. A mutant must
+  // never be accepted, crash or trip an assert.
+  // Hand-built jobs that overflow their 64 GiB hosts mid-run, so the cut
+  // carries running jobs, borrow edges, pending work and live events.
+  workload::SyntheticWorkload w;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    trace::JobSpec j;
+    j.id = JobId{i + 1};
+    j.submit_time = 60.0 * i;
+    j.num_nodes = 2 + static_cast<int>(i % 2);
+    j.requested_mem = gib(96);
+    j.duration = 4000.0 + 500.0 * i;
+    j.walltime = 2.0 * j.duration;
+    j.usage = trace::UsageTrace({{0.0, gib(40)}, {0.5, gib(90)}});
+    w.jobs.push_back(std::move(j));
+  }
+  MiniSim source(w);
+  (void)source.scheduler_->run_ready(500.0);
+  ASSERT_GT(source.scheduler_->running_count(), 0U);
+  ASSERT_GT(source.scheduler_->pending_count(), 0U);
+  ASSERT_GT(source.cluster_->total_lent(), 0);
+  const std::string bytes = snapshot::save_bytes(source.components());
+  const std::size_t payload_end =
+      28 + snapshot::Image::from_bytes(bytes)->payload().size();
+
+  MiniSim target(w);
+  const auto refusal = [&](const std::string& mutant) -> std::string {
+    try {
+      snapshot::Image::from_bytes(mutant)->materialize(target.components());
+    } catch (const snapshot::SnapshotError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto expected_cause = [&](std::size_t byte) -> const char* {
+    if (byte < 8) return "bad magic";
+    if (byte < 12) return "unsupported version";
+    if (byte < 20) return "fingerprint mismatch";
+    if (byte < 28) return nullptr;  // size: truncated or checksum, see below
+    if (byte < payload_end + 8) return "payload checksum mismatch";
+    return "section table checksum mismatch";
+  };
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = bytes;
+      mutant[byte] = static_cast<char>(mutant[byte] ^ (1 << bit));
+      const std::string why = refusal(mutant);
+      const auto has = [&](const char* text) {
+        return why.find(text) != std::string::npos;
+      };
+      const char* cause = expected_cause(byte);
+      // A changed payload size overruns the file or moves the checksum
+      // field, which then reads other bytes.
+      const bool ok = cause != nullptr ? has(cause)
+                                       : has("truncated payload") ||
+                                             has("payload checksum mismatch");
+      ASSERT_TRUE(ok) << "byte " << byte << " bit " << bit << ": '" << why
+                      << "'";
+    }
+  }
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    ASSERT_NE(refusal(bytes.substr(0, size)), "") << "truncated to " << size;
+  }
+  // The untouched bytes still restore, onto a fresh target.
+  MiniSim fresh(w);
+  snapshot::Image::from_bytes(bytes)->materialize(fresh.components());
+  EXPECT_EQ(snapshot::save_bytes(fresh.components()), bytes);
 }
 
 TEST(SnapshotCompat, RestoreFileErrorsNameThePath) {

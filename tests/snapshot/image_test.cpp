@@ -1,10 +1,9 @@
 // The two-level snapshot model: immutable snapshot::Image + per-fork
 // overlays. Contracts pinned here:
 //   * the envelope's section table describes the payload exactly (five
-//     contiguous sections with per-section checksums), at the current
-//     format version — no version bump for the trailer,
-//   * a file with no section table (a pre-TOC writer) still opens,
-//   * corruption, truncation into the trailer, and trailing garbage are
+//     contiguous sections with per-section checksums),
+//   * corruption, truncation into the trailer, trailing garbage and a
+//     header whose payload size overflows the bounds arithmetic are
 //     rejected at parse time — before any component state is touched,
 //   * a fork from a shared image reproduces the file-resumed run bit for
 //     bit, and materialize_trusted refuses a wrong fingerprint,
@@ -84,7 +83,6 @@ TEST(SnapshotImage, SectionTableDescribesPayloadExactly) {
 
   const auto image = snapshot::Image::open(s.path);
   EXPECT_EQ(image->version(), snapshot::kFormatVersion);
-  ASSERT_TRUE(image->has_section_table());
   const auto& sections = image->sections();
   ASSERT_EQ(sections.size(), 5U);
   EXPECT_EQ(sections[0].name, "ENGI");
@@ -105,25 +103,6 @@ TEST(SnapshotImage, SectionTableDescribesPayloadExactly) {
   std::remove(s.path.c_str());
 }
 
-TEST(SnapshotImage, PreTocFileStillOpens) {
-  Scenario s = Scenario::make("image_pretoc.snap");
-  s.save_snapshot();
-
-  // A writer from before the section table ended right after the payload
-  // checksum; cutting the trailer reproduces such a file.
-  const std::string bytes = slurp(s.path);
-  const auto full = snapshot::Image::from_bytes(bytes);
-  const std::size_t pre_toc_size =
-      28 + full->payload().size() + 8;  // header + payload + checksum
-  ASSERT_LT(pre_toc_size, bytes.size());
-  const auto old_style = snapshot::Image::from_bytes(bytes.substr(0, pre_toc_size));
-  EXPECT_FALSE(old_style->has_section_table());
-  EXPECT_TRUE(old_style->sections().empty());
-  EXPECT_EQ(old_style->fingerprint(), full->fingerprint());
-  EXPECT_EQ(old_style->payload(), full->payload());
-  std::remove(s.path.c_str());
-}
-
 TEST(SnapshotImage, CorruptionRejectedAtParseTime) {
   Scenario s = Scenario::make("image_corrupt.snap");
   s.save_snapshot();
@@ -134,8 +113,7 @@ TEST(SnapshotImage, CorruptionRejectedAtParseTime) {
   bad[40] ^= 0x5A;
   EXPECT_THROW((void)snapshot::Image::from_bytes(bad), snapshot::SnapshotError);
 
-  // Truncation into the trailer: neither a clean pre-TOC file nor a valid
-  // table.
+  // Truncation into the trailer.
   EXPECT_THROW((void)snapshot::Image::from_bytes(bytes.substr(0, bytes.size() - 4)),
                snapshot::SnapshotError);
 
@@ -147,6 +125,24 @@ TEST(SnapshotImage, CorruptionRejectedAtParseTime) {
   EXPECT_THROW((void)snapshot::Image::from_bytes(bytes.substr(0, 40)),
                snapshot::SnapshotError);
   std::remove(s.path.c_str());
+}
+
+TEST(SnapshotImage, HugeDeclaredPayloadSizeIsTruncation) {
+  // A header declaring a payload of 2^64-1 bytes: "size + 8" wraps to 7, so
+  // an adding bounds check passes and the checksum is read from inside the
+  // header. The parser must report truncation instead.
+  std::string bytes(72, '\0');
+  bytes.replace(0, 8, "DMSIMSNP");
+  bytes[8] = static_cast<char>(snapshot::kFormatVersion);
+  for (int i = 20; i < 28; ++i) bytes[static_cast<std::size_t>(i)] = '\xff';
+  try {
+    (void)snapshot::Image::from_bytes(bytes);
+    FAIL() << "overflowing payload size accepted";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated payload"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SnapshotImage, ForkMatchesFileResumeBitForBit) {

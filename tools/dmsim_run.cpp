@@ -76,8 +76,7 @@ void print_version(std::ostream& os) {
   os << "dmsim_run " << DMSIM_VERSION_STRING << " (" << DMSIM_GIT_DESCRIBE
      << ", " << DMSIM_BUILD_TYPE << ")\n"
      << "compiler: " << __VERSION__ << '\n'
-     << "snapshot format: v" << snapshot::kFormatVersion << " (reads v"
-     << snapshot::kMinFormatVersion << "+)\n";
+     << "snapshot format: v" << snapshot::kFormatVersion << '\n';
 }
 
 void print_usage(std::ostream& os) {
@@ -210,34 +209,23 @@ void print_usage(std::ostream& os) {
 int print_snapshot_info(const std::string& path, std::ostream& os) {
   const std::shared_ptr<const snapshot::Image> image =
       snapshot::Image::open(path);
-  const auto hex = [](std::uint64_t v) {
-    char buf[17] = {};
-    static constexpr char kHex[] = "0123456789abcdef";
-    for (int i = 15; i >= 0; --i) {
-      buf[i] = kHex[v & 0xf];
-      v >>= 4;
-    }
-    return std::string(buf, 16);
-  };
   util::TextTable table("snapshot " + path);
   table.set_header({"field", "value"});
   table.add_row({"format version", "v" + std::to_string(image->version())});
-  table.add_row({"config fingerprint", hex(image->fingerprint())});
-  table.add_row({"payload checksum", hex(image->payload_checksum())});
+  table.add_row(
+      {"config fingerprint", snapshot::hex_u64(image->fingerprint())});
+  table.add_row(
+      {"payload checksum", snapshot::hex_u64(image->payload_checksum())});
   table.add_row({"total bytes", std::to_string(image->size_bytes())});
   table.add_row({"payload bytes", std::to_string(image->payload().size())});
-  table.add_row({"section table",
-                 image->has_section_table() ? "yes" : "no (pre-TOC writer)"});
   table.print(os);
-  if (image->has_section_table()) {
-    util::TextTable sections("sections");
-    sections.set_header({"name", "offset", "bytes", "checksum"});
-    for (const auto& s : image->sections()) {
-      sections.add_row({s.name, std::to_string(s.offset),
-                        std::to_string(s.size), hex(s.checksum)});
-    }
-    sections.print(os);
+  util::TextTable sections("section table");
+  sections.set_header({"name", "offset", "bytes", "checksum"});
+  for (const auto& s : image->sections()) {
+    sections.add_row({s.name, std::to_string(s.offset), std::to_string(s.size),
+                      snapshot::hex_u64(s.checksum)});
   }
+  sections.print(os);
   return 0;
 }
 
