@@ -44,12 +44,17 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   DMSIM_ASSERT(tiers_.size() <= 255, "at most 255 memory tiers");
   tier_latency_factor_.reserve(tiers_.size());
   tier_bandwidth_factor_.reserve(tiers_.size());
+  // A lone tier has no other tier to be slower than: it is the flat pool
+  // whatever its latency and bandwidth, so both of its factors are exactly
+  // 1.0 and the tier-weighted slowdown arithmetic reduces to the flat one.
+  const bool lone = tiers_.size() == 1;
   for (const MemoryTier& t : tiers_) {
     DMSIM_ASSERT(t.latency_ns > 0.0, "tier latency must be positive");
     DMSIM_ASSERT(t.bandwidth_gbs > 0.0, "tier bandwidth must be positive");
-    tier_latency_factor_.push_back(t.latency_ns / kTierReferenceLatencyNs);
-    tier_bandwidth_factor_.push_back(kTierReferenceBandwidthGbs /
-                                     t.bandwidth_gbs);
+    tier_latency_factor_.push_back(
+        lone ? 1.0 : t.latency_ns / kTierReferenceLatencyNs);
+    tier_bandwidth_factor_.push_back(
+        lone ? 1.0 : kTierReferenceBandwidthGbs / t.bandwidth_gbs);
   }
   tier_order_.resize(tiers_.size());
   for (std::size_t t = 0; t < tiers_.size(); ++t) {
@@ -80,12 +85,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     rack_.push_back(nc.rack);
     total_capacity_ += nc.capacity;
   }
-  if (tiered()) {
-    tier_free_index_.resize(tiers_.size());
-    tier_mem_free_index_.resize(tiers_.size());
-    tier_free_mib_.assign(tiers_.size(), 0);
-    tier_lent_mib_.assign(tiers_.size(), 0);
-  }
   running_job_.assign(n, kIdle);
   local_used_.assign(n, 0);
   lent_.assign(n, 0);
@@ -95,19 +94,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   slots_.reserve(n);
   job_hosts_.reserve(n);
   rebuild_indexes_bulk();
-  nodes_by_capacity_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) nodes_by_capacity_.push_back(NodeId{i});
-  std::sort(nodes_by_capacity_.begin(), nodes_by_capacity_.end(),
-            [this](NodeId a, NodeId b) {
-              const MiB ca = capacity_[a.get()];
-              const MiB cb = capacity_[b.get()];
-              if (ca != cb) return ca < cb;
-              return a < b;
-            });
-  capacities_sorted_.reserve(n);
-  for (NodeId id : nodes_by_capacity_) {
-    capacities_sorted_.push_back(capacity_[id.get()]);
-  }
+  rebuild_capacity_order();
 }
 
 void Cluster::add_nodes(std::span<const NodeConfig> new_nodes) {
@@ -134,21 +121,7 @@ void Cluster::add_nodes(std::span<const NodeConfig> new_nodes) {
   // The bulk pass resizes free_/mem_node_/index_bits_ and re-derives every
   // ordered index and per-tier total from the columns.
   rebuild_indexes_bulk();
-  nodes_by_capacity_.clear();
-  nodes_by_capacity_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) nodes_by_capacity_.push_back(NodeId{i});
-  std::sort(nodes_by_capacity_.begin(), nodes_by_capacity_.end(),
-            [this](NodeId a, NodeId b) {
-              const MiB ca = capacity_[a.get()];
-              const MiB cb = capacity_[b.get()];
-              if (ca != cb) return ca < cb;
-              return a < b;
-            });
-  capacities_sorted_.clear();
-  capacities_sorted_.reserve(n);
-  for (NodeId id : nodes_by_capacity_) {
-    capacities_sorted_.push_back(capacity_[id.get()]);
-  }
+  rebuild_capacity_order();
   ++change_epoch_;
 }
 
@@ -222,6 +195,25 @@ std::span<const NodeId> Cluster::nodes_by_capacity_at_least(
   return std::span<const NodeId>(nodes_by_capacity_).subspan(offset);
 }
 
+void Cluster::rebuild_capacity_order() {
+  const std::size_t n = capacity_.size();
+  nodes_by_capacity_.clear();
+  nodes_by_capacity_.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) nodes_by_capacity_.push_back(NodeId{i});
+  std::sort(nodes_by_capacity_.begin(), nodes_by_capacity_.end(),
+            [this](NodeId a, NodeId b) {
+              const MiB ca = capacity_[a.get()];
+              const MiB cb = capacity_[b.get()];
+              if (ca != cb) return ca < cb;
+              return a < b;
+            });
+  capacities_sorted_.clear();
+  capacities_sorted_.reserve(n);
+  for (NodeId id : nodes_by_capacity_) {
+    capacities_sorted_.push_back(capacity_[id.get()]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Index maintenance
 // ---------------------------------------------------------------------------
@@ -239,28 +231,17 @@ void Cluster::reindex_node(std::uint32_t i) {
   const FreeKey old_key{old_free, i};
   const FreeKey new_key{free, i};
   const bool moved = old_free != free;
+  // The lendable indexes are the node's own tier's (tier is immutable).
+  const std::uint8_t t = tier_[i];
+  FreeIndex& tf = tier_free_index_[t];
+  FreeIndex& tmf = tier_mem_free_index_[t];
   if ((old_bits & kInHost) && (!host || moved)) host_index_.erase(old_key);
   if (host && (!(old_bits & kInHost) || moved)) host_index_.insert(new_key);
-  if ((old_bits & kInFree) && (!lendable || moved)) free_index_.erase(old_key);
-  if (lendable && (!(old_bits & kInFree) || moved)) free_index_.insert(new_key);
-  if ((old_bits & kInMemFree) && (!mem_free || moved)) {
-    mem_free_index_.erase(old_key);
-  }
-  if (mem_free && (!(old_bits & kInMemFree) || moved)) {
-    mem_free_index_.insert(new_key);
-  }
-  if (tiered()) {
-    // The per-tier variants share the membership bits (tier is immutable),
-    // so the same erase/insert conditions apply to the node's tier indexes.
-    const std::uint8_t t = tier_[i];
-    FreeIndex& tf = tier_free_index_[t];
-    FreeIndex& tmf = tier_mem_free_index_[t];
-    if ((old_bits & kInFree) && (!lendable || moved)) tf.erase(old_key);
-    if (lendable && (!(old_bits & kInFree) || moved)) tf.insert(new_key);
-    if ((old_bits & kInMemFree) && (!mem_free || moved)) tmf.erase(old_key);
-    if (mem_free && (!(old_bits & kInMemFree) || moved)) tmf.insert(new_key);
-    tier_free_mib_[t] += free - old_free;
-  }
+  if ((old_bits & kInFree) && (!lendable || moved)) tf.erase(old_key);
+  if (lendable && (!(old_bits & kInFree) || moved)) tf.insert(new_key);
+  if ((old_bits & kInMemFree) && (!mem_free || moved)) tmf.erase(old_key);
+  if (mem_free && (!(old_bits & kInMemFree) || moved)) tmf.insert(new_key);
+  tier_free_mib_[t] += free - old_free;
   free_[i] = free;
   mem_node_[i] = mem ? 1 : 0;
   index_bits_[i] = static_cast<std::uint8_t>((host ? kInHost : 0) |
@@ -270,18 +251,20 @@ void Cluster::reindex_node(std::uint32_t i) {
 
 void Cluster::rebuild_indexes_bulk() {
   const std::size_t n = capacity_.size();
+  const std::size_t tc = tiers_.size();
   free_.resize(n);
   mem_node_.resize(n);
   index_bits_.resize(n);
-  // One linear pass derives every column and gathers each index's keys into
-  // a flat vector; sorting those and range-constructing the sets builds each
-  // tree with O(size) comparisons (sorted-range guarantee) instead of n
-  // individual O(log n) inserts.
+  tier_free_mib_.assign(tc, 0);
+  tier_lent_mib_.assign(tc, 0);
+  // One linear pass derives every column and per-tier total and gathers
+  // each index's keys into a flat vector; sorting those and range-
+  // constructing the sets builds each tree with O(size) comparisons
+  // (sorted-range guarantee) instead of n individual O(log n) inserts.
   std::vector<FreeKey> host_keys;
-  std::vector<FreeKey> free_keys;
-  std::vector<FreeKey> mem_keys;
+  std::vector<std::vector<FreeKey>> free_keys(tc);
+  std::vector<std::vector<FreeKey>> mem_keys(tc);
   host_keys.reserve(n);
-  free_keys.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const MiB free = capacity_[i] - local_used_[i] - lent_[i];
     const bool mem = lent_[i] * 2 > capacity_[i];
@@ -293,35 +276,23 @@ void Cluster::rebuild_indexes_bulk() {
     index_bits_[i] = static_cast<std::uint8_t>((host ? kInHost : 0) |
                                                (lendable ? kInFree : 0) |
                                                (mem_free ? kInMemFree : 0));
+    const std::uint8_t t = tier_[i];
+    tier_free_mib_[t] += free;
+    tier_lent_mib_[t] += lent_[i];
     if (host) host_keys.emplace_back(free, i);
-    if (lendable) free_keys.emplace_back(free, i);
-    if (mem_free) mem_keys.emplace_back(free, i);
+    if (lendable) free_keys[t].emplace_back(free, i);
+    if (mem_free) mem_keys[t].emplace_back(free, i);
   }
-  std::sort(host_keys.begin(), host_keys.end());
-  std::sort(free_keys.begin(), free_keys.end());
-  std::sort(mem_keys.begin(), mem_keys.end());
-  host_index_ = FreeIndex(host_keys.begin(), host_keys.end());
-  free_index_ = FreeIndex(free_keys.begin(), free_keys.end());
-  mem_free_index_ = FreeIndex(mem_keys.begin(), mem_keys.end());
-  if (tiered()) {
-    // Bucket the already-sorted global keys per tier (filtering preserves
-    // order, so each per-tier set also range-constructs linearly), and
-    // re-derive the per-tier free/lent totals from the columns.
-    const std::size_t tc = tiers_.size();
-    std::vector<std::vector<FreeKey>> tf(tc);
-    std::vector<std::vector<FreeKey>> tmf(tc);
-    for (const FreeKey& k : free_keys) tf[tier_[k.second]].push_back(k);
-    for (const FreeKey& k : mem_keys) tmf[tier_[k.second]].push_back(k);
-    tier_free_mib_.assign(tc, 0);
-    tier_lent_mib_.assign(tc, 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tier_free_mib_[tier_[i]] += free_[i];
-      tier_lent_mib_[tier_[i]] += lent_[i];
-    }
-    for (std::size_t t = 0; t < tc; ++t) {
-      tier_free_index_[t] = FreeIndex(tf[t].begin(), tf[t].end());
-      tier_mem_free_index_[t] = FreeIndex(tmf[t].begin(), tmf[t].end());
-    }
+  const auto build = [](std::vector<FreeKey>& keys) {
+    std::sort(keys.begin(), keys.end());
+    return FreeIndex(keys.begin(), keys.end());
+  };
+  host_index_ = build(host_keys);
+  tier_free_index_.resize(tc);
+  tier_mem_free_index_.resize(tc);
+  for (std::size_t t = 0; t < tc; ++t) {
+    tier_free_index_[t] = build(free_keys[t]);
+    tier_mem_free_index_[t] = build(mem_keys[t]);
   }
 }
 
@@ -387,7 +358,7 @@ void Cluster::finish_job(JobId job) {
       lent_[l] -= amount;
       total_allocated_ -= amount;
       total_lent_ -= amount;
-      if (tiered()) tier_lent_mib_[tier_[l]] -= amount;
+      tier_lent_mib_[tier_[l]] -= amount;
       reindex_node(l);
       mark_lender_dirty(lender);
       const bool removed = borrow_slab_.remove(l, sit->first.packed);
@@ -464,51 +435,19 @@ MiB Cluster::shrink_local(JobId job, NodeId host, MiB amount) {
 }
 
 NodeId Cluster::next_lender(NodeId exclude) const {
-  if (tiered()) {
-    // Nearest tier with free capacity first, spilling outward: each leg is
-    // one O(log n) probe of that tier's index pair.
-    for (const std::uint8_t t : tier_order_) {
-      const NodeId pick = next_lender_in_tier(t, exclude);
-      if (pick.valid()) return pick;
-    }
-    return NodeId{};
-  }
-  // First admissible key in visit_desc order — the same (free desc, id asc)
-  // walk the materialized ordering used, stopped at the first hit.
-  const auto first_desc = [exclude](const FreeIndex& index,
-                                    auto&& admit) -> NodeId {
-    NodeId found{};
-    visit_desc(index, index.end(), [&](const FreeKey& k) {
-      if (k.second == exclude.get() || !admit(k)) return true;
-      found = NodeId{k.second};
-      return false;
-    });
-    return found;
-  };
-  const auto any = [](const FreeKey&) { return true; };
-  switch (config_.lender_policy) {
-    case LenderPolicy::MostFree:
-      return first_desc(free_index_, any);
-    case LenderPolicy::LeastFree:
-      for (const FreeKey& k : free_index_) {
-        if (k.second != exclude.get()) return NodeId{k.second};
-      }
-      return NodeId{};
-    case LenderPolicy::MemoryNodesFirst: {
-      // Memory nodes (free desc, id asc) before the rest in the same order —
-      // the old sort's partition under its memory-nodes-first comparator.
-      const NodeId mem = first_desc(mem_free_index_, any);
-      if (mem.valid()) return mem;
-      return first_desc(free_index_, [this](const FreeKey& k) {
-        return mem_node_[k.second] == 0;
-      });
-    }
+  // Nearest tier with free capacity first, spilling outward: each leg is
+  // one O(log n) probe of that tier's index pair.
+  for (const std::uint8_t t : tier_order_) {
+    const NodeId pick = next_lender_in_tier(t, exclude);
+    if (pick.valid()) return pick;
   }
   return NodeId{};
 }
 
 NodeId Cluster::next_lender_in_tier(std::uint8_t t, NodeId exclude) const {
   // The configured policy's ranking, restricted to one tier's index pair.
+  // first_desc is the first admissible key in visit_desc order: the
+  // (free desc, id asc) walk, stopped at the first hit.
   const FreeIndex& tier_free = tier_free_index_[t];
   const auto first_desc = [exclude](const FreeIndex& index,
                                     auto&& admit) -> NodeId {
@@ -530,6 +469,7 @@ NodeId Cluster::next_lender_in_tier(std::uint8_t t, NodeId exclude) const {
       }
       return NodeId{};
     case LenderPolicy::MemoryNodesFirst: {
+      // Memory nodes (free desc, id asc) before the rest in the same order.
       const NodeId mem = first_desc(tier_mem_free_index_[t], any);
       if (mem.valid()) return mem;
       return first_desc(tier_free, [this](const FreeKey& k) {
@@ -562,7 +502,7 @@ MiB Cluster::grow_remote(JobId job, NodeId host, MiB amount) {
     lent_[l] += take;
     total_allocated_ += take;
     total_lent_ += take;
-    if (tiered()) tier_lent_mib_[tier_[l]] += take;
+    tier_lent_mib_[tier_[l]] += take;
     remaining -= take;
     ++lenders_touched;
     reindex_node(l);
@@ -623,7 +563,7 @@ MiB Cluster::shrink_remote(JobId job, NodeId host, MiB amount) {
     lent_[l] -= give;
     total_allocated_ -= give;
     total_lent_ -= give;
-    if (tiered()) tier_lent_mib_[tier_[l]] -= give;
+    tier_lent_mib_[tier_[l]] -= give;
     borrowed -= give;
     remaining -= give;
     reindex_node(l);
@@ -675,7 +615,7 @@ MiB Cluster::shrink_remote_edge(JobId job, NodeId host, NodeId lender,
   lent_[l] -= give;
   total_allocated_ -= give;
   total_lent_ -= give;
-  if (tiered()) tier_lent_mib_[tier_[l]] -= give;
+  tier_lent_mib_[tier_[l]] -= give;
   edge->second -= give;
   reindex_node(l);
   mark_lender_dirty(lender);
@@ -827,11 +767,14 @@ void Cluster::check_invariants() const {
   DMSIM_ASSERT(borrow_slab_.live == expected_edges.size(),
                "reverse slab live count out of sync");
 
-  // One cache-linear pass over the columns: occupancy sums, bounds, and the
-  // derived free/memory-node/membership columns.
+  // One cache-linear pass over the columns: occupancy sums, bounds, the
+  // derived free/memory-node/membership columns, and per-tier recounts.
+  const std::size_t tc = tiers_.size();
   std::size_t host_entries = 0;
-  std::size_t free_entries = 0;
-  std::size_t mem_free_entries = 0;
+  std::vector<std::size_t> free_entries(tc, 0);
+  std::vector<std::size_t> mem_free_entries(tc, 0);
+  std::vector<MiB> tier_free(tc, 0);
+  std::vector<MiB> tier_lent(tc, 0);
   MiB lent_total = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     DMSIM_ASSERT(local_used_[i] == local[i],
@@ -841,6 +784,7 @@ void Cluster::check_invariants() const {
                  "node over-committed");
     DMSIM_ASSERT(local_used_[i] >= 0 && lent_[i] >= 0,
                  "negative ledger entry");
+    DMSIM_ASSERT(tier_[i] < tc, "tier column out of range");
     const MiB free = capacity_[i] - local_used_[i] - lent_[i];
     const bool mem = lent_[i] * 2 > capacity_[i];
     const bool host = running_job_[i] == kIdle && !mem;
@@ -853,71 +797,46 @@ void Cluster::check_invariants() const {
         (mem_free ? kInMemFree : 0));
     DMSIM_ASSERT(index_bits_[i] == bits,
                  "index membership bits disagree with node state");
+    const std::uint8_t t = tier_[i];
     host_entries += host ? 1 : 0;
-    free_entries += lendable ? 1 : 0;
-    mem_free_entries += mem_free ? 1 : 0;
+    free_entries[t] += lendable ? 1 : 0;
+    mem_free_entries[t] += mem_free ? 1 : 0;
+    tier_free[t] += free;
+    tier_lent[t] += lent_[i];
     lent_total += lent_[i];
   }
-  // Each ordered index: every entry it holds must be a node whose membership
-  // bit is set, keyed by that node's current free value; together with the
-  // per-node bit counts matching the set sizes, this proves membership is
-  // exact (no per-node tree probes needed).
+  DMSIM_ASSERT(allocated == total_allocated_,
+               "aggregate allocation counter out of sync");
+  DMSIM_ASSERT(lent_total == total_lent_, "aggregate lent counter out of sync");
+  // Each ordered index: every entry it holds must be a node of the index's
+  // tier (any tier for the host index) whose membership bit is set, keyed
+  // by that node's current free value; together with the per-node bit
+  // counts matching the set sizes, this proves membership is exact (no
+  // per-node tree probes needed).
+  constexpr std::size_t kAnyTier = 256;
   const auto check_index = [&](const FreeIndex& index, std::uint8_t bit,
-                               std::size_t expected,
+                               std::size_t tier, std::size_t expected,
                                const char* what) {
     DMSIM_ASSERT(index.size() == expected, what);
     for (const FreeKey& k : index) {
-      DMSIM_ASSERT(k.second < n && (index_bits_[k.second] & bit) != 0 &&
+      DMSIM_ASSERT(k.second < n &&
+                       (tier == kAnyTier || tier_[k.second] == tier) &&
+                       (index_bits_[k.second] & bit) != 0 &&
                        free_[k.second] == k.first,
                    what);
     }
   };
-  check_index(host_index_, kInHost, host_entries,
+  check_index(host_index_, kInHost, kAnyTier, host_entries,
               "host index disagrees with node state");
-  check_index(free_index_, kInFree, free_entries,
-              "free index disagrees with node state");
-  check_index(mem_free_index_, kInMemFree, mem_free_entries,
-              "memory-node free index disagrees with node state");
-  DMSIM_ASSERT(allocated == total_allocated_,
-               "aggregate allocation counter out of sync");
-  DMSIM_ASSERT(lent_total == total_lent_, "aggregate lent counter out of sync");
-  if (tiered()) {
-    // Per-tier recount: free/lent totals and both index variants must agree
-    // with a fresh column sweep bucketed by the tier column.
-    const std::size_t tc = tiers_.size();
-    std::vector<MiB> tier_free(tc, 0);
-    std::vector<MiB> tier_lent(tc, 0);
-    std::vector<std::size_t> tier_free_entries(tc, 0);
-    std::vector<std::size_t> tier_mem_entries(tc, 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      DMSIM_ASSERT(tier_[i] < tc, "tier column out of range");
-      tier_free[tier_[i]] += free_[i];
-      tier_lent[tier_[i]] += lent_[i];
-      if (index_bits_[i] & kInFree) ++tier_free_entries[tier_[i]];
-      if (index_bits_[i] & kInMemFree) ++tier_mem_entries[tier_[i]];
-    }
-    for (std::size_t t = 0; t < tc; ++t) {
-      DMSIM_ASSERT(tier_free_mib_[t] == tier_free[t],
-                   "per-tier free total out of sync");
-      DMSIM_ASSERT(tier_lent_mib_[t] == tier_lent[t],
-                   "per-tier lent total out of sync");
-      DMSIM_ASSERT(tier_free_index_[t].size() == tier_free_entries[t],
-                   "per-tier free index disagrees with node state");
-      DMSIM_ASSERT(tier_mem_free_index_[t].size() == tier_mem_entries[t],
-                   "per-tier mem-free index disagrees with node state");
-      for (const FreeKey& k : tier_free_index_[t]) {
-        DMSIM_ASSERT(k.second < n && tier_[k.second] == t &&
-                         (index_bits_[k.second] & kInFree) != 0 &&
-                         free_[k.second] == k.first,
-                     "per-tier free index entry invalid");
-      }
-      for (const FreeKey& k : tier_mem_free_index_[t]) {
-        DMSIM_ASSERT(k.second < n && tier_[k.second] == t &&
-                         (index_bits_[k.second] & kInMemFree) != 0 &&
-                         free_[k.second] == k.first,
-                     "per-tier mem-free index entry invalid");
-      }
-    }
+  for (std::size_t t = 0; t < tc; ++t) {
+    DMSIM_ASSERT(tier_free_mib_[t] == tier_free[t],
+                 "per-tier free total out of sync");
+    DMSIM_ASSERT(tier_lent_mib_[t] == tier_lent[t],
+                 "per-tier lent total out of sync");
+    check_index(tier_free_index_[t], kInFree, t, free_entries[t],
+                "per-tier free index disagrees with node state");
+    check_index(tier_mem_free_index_[t], kInMemFree, t, mem_free_entries[t],
+                "per-tier memory-node free index disagrees with node state");
   }
   if (debug_parity_) check_node_view_parity();
 }
@@ -1055,8 +974,8 @@ void Cluster::restore_state(snapshot::Reader& reader) {
       throw snapshot::SnapshotError("snapshot: node ledger out of range");
     }
   }
-  // Derived columns and all three ordered indexes come back in one bulk
-  // pass over the restored occupancy columns.
+  // Derived columns, per-tier totals and every ordered index come back in
+  // one bulk pass over the restored occupancy columns.
   rebuild_indexes_bulk();
   // Full validation: per-node sums vs slots, index memberships, reverse
   // index, aggregate counters. A snapshot that passes this is exactly a

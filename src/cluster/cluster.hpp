@@ -28,8 +28,9 @@
 // unchanged. Hot paths use the `*_of()` column accessors instead, which
 // read exactly one array element.
 //
-// Scalability: every mutation maintains three ordered free-memory indexes
-// (hostable nodes, lendable nodes, lendable memory nodes) plus a reverse
+// Scalability: every mutation maintains ordered free-memory indexes
+// (hostable nodes, plus lendable nodes and lendable memory nodes per memory
+// tier — a flat topology is one tier) and a reverse
 // lender -> borrow-edge slab (a CSR-style flat edge pool with per-lender
 // rows), so host selection, lender ordering, `idle_hostable_nodes()` and
 // `borrowers_of()` never rescan all nodes or all slots. The indexes are
@@ -77,8 +78,8 @@ enum class TierScope : std::uint8_t {
 
 /// The latency/bandwidth point the paper's flat remote pool implicitly
 /// models (one rack-scale CXL hop). A tier at exactly this point has
-/// latency and bandwidth factors of 1.0, so the single-default-tier
-/// topology reproduces the flat-pool arithmetic bit for bit.
+/// latency and bandwidth factors of 1.0. (A lone tier gets factors of 1.0
+/// wherever it sits: with no other tier it is the flat pool.)
 inline constexpr double kTierReferenceLatencyNs = 350.0;
 inline constexpr double kTierReferenceBandwidthGbs = 50.0;
 
@@ -204,9 +205,10 @@ class Cluster {
   [[nodiscard]] std::size_t tier_count() const noexcept {
     return tiers_.size();
   }
-  /// True when more than one tier exists. Every tier-aware code path is
-  /// gated on this so a degenerate single-tier topology takes exactly the
-  /// flat-pool instructions (the byte-identity contract).
+  /// True when more than one tier exists. The ledger and the slowdown model
+  /// treat a flat topology as one tier and need no such test; it only keeps
+  /// flat telemetry and config fingerprints unchanged, and lets the tier
+  /// migration pass skip a topology with nowhere nearer to migrate to.
   [[nodiscard]] bool tiered() const noexcept { return tiers_.size() > 1; }
   [[nodiscard]] std::uint8_t tier_of(NodeId id) const {
     return tier_[checked(id)];
@@ -220,27 +222,29 @@ class Cluster {
   [[nodiscard]] std::span<const std::uint16_t> rack_column() const noexcept {
     return rack_;
   }
-  /// latency_ns / reference-latency of tier `t` (1.0 for the default tier).
+  /// latency_ns / reference-latency of tier `t` (1.0 for the default tier
+  /// and for a lone tier).
   [[nodiscard]] double tier_latency_factor(std::uint8_t t) const {
     return tier_latency_factor_[t];
   }
   /// reference-bandwidth / bandwidth_gbs of tier `t` (1.0 for the default
-  /// tier); scales how fast the tier's lenders congest under pressure.
+  /// tier and for a lone tier); scales how fast the tier's lenders congest
+  /// under pressure.
   [[nodiscard]] double tier_bandwidth_factor(std::uint8_t t) const {
     return tier_bandwidth_factor_[t];
   }
   /// Tier ids ordered nearest first (latency asc, id asc) — the spill-out
-  /// order lender selection walks when tiered.
+  /// order lender selection walks.
   [[nodiscard]] std::span<const std::uint8_t> tier_order() const noexcept {
     return tier_order_;
   }
   /// Lendable free memory in tier `t` (sum of free() over its nodes).
   [[nodiscard]] MiB tier_free(std::uint8_t t) const {
-    return tiered() ? tier_free_mib_[t] : total_free();
+    return tier_free_mib_[t];
   }
   /// Memory currently lent out of tier `t`.
   [[nodiscard]] MiB tier_lent(std::uint8_t t) const {
-    return tiered() ? tier_lent_mib_[t] : total_lent_;
+    return tier_lent_mib_[t];
   }
 
   // --- single-column accessors (one array read each; hot-path safe) -------
@@ -483,8 +487,8 @@ class Cluster {
   /// The key it was indexed under is the free_ column entry (reindex_node
   /// updates both together).
   static constexpr std::uint8_t kInHost = 1;      ///< host_index_: idle, not a memory node
-  static constexpr std::uint8_t kInFree = 2;      ///< free_index_: free() > 0
-  static constexpr std::uint8_t kInMemFree = 4;   ///< mem_free_index_: memory node, free() > 0
+  static constexpr std::uint8_t kInFree = 2;      ///< tier_free_index_: free() > 0
+  static constexpr std::uint8_t kInMemFree = 4;   ///< tier_mem_free_index_: memory node, free() > 0
 
   /// Reverse lender -> borrow-edge index: a CSR-style edge slab. All edges
   /// of all lenders live in one flat entry pool; each lender's row is a
@@ -584,12 +588,16 @@ class Cluster {
   /// memberships after a mutation of its local_used_/lent_/running_job_
   /// columns.
   void reindex_node(std::uint32_t i);
-  /// Rebuild free_, mem_node_, membership bits and all three ordered
-  /// indexes from the capacity/local_used/lent/running_job columns in one
-  /// bulk pass: gather keys per index, sort each flat key vector, then
-  /// range-construct the sets linearly — instead of n individual O(log n)
-  /// tree inserts.
+  /// Rebuild free_, mem_node_, membership bits, the per-tier totals and
+  /// every ordered index from the capacity/local_used/lent/running_job
+  /// columns in one bulk pass: gather keys per index, sort each flat key
+  /// vector, then range-construct the sets linearly — instead of n
+  /// individual O(log n) tree inserts.
   void rebuild_indexes_bulk();
+  /// Rebuild the static (capacity asc, id asc) node order and its capacity
+  /// column. Leaves change_epoch_ alone: the constructor calls it too, and
+  /// the epoch is serialized.
+  void rebuild_capacity_order();
   /// The snapshot section's field list, run by save_state / restore_state.
   template <class Self, class Ar>
   static void io(Self& self, Ar&& ar);
@@ -604,12 +612,12 @@ class Cluster {
   /// lender remains. grow_remote drains each pick completely before asking
   /// again, so repeated calls walk the same sequence a full materialized
   /// ordering would — in O(log nodes) per pick instead of O(nodes) total.
-  /// When tiered, tiers are walked nearest first (tier_order_) and the
-  /// policy ranks lenders within each tier — "cheapest tier with free
-  /// capacity" in O(log n).
+  /// Tiers are walked nearest first (tier_order_) and the policy ranks
+  /// lenders within each tier — "cheapest tier with free capacity" in
+  /// O(log n). A flat topology is the one-tier walk.
   [[nodiscard]] NodeId next_lender(NodeId exclude) const;
-  /// The within-one-tier leg of tiered lender selection: the configured
-  /// policy applied to tier `t`'s index pair.
+  /// The within-one-tier leg of lender selection: the configured policy
+  /// applied to tier `t`'s index pair.
   [[nodiscard]] NodeId next_lender_in_tier(std::uint8_t t,
                                            NodeId exclude) const;
   /// Push tier_lent_mib_ into the ledger.tier_occupancy.* gauges (no-op on
@@ -625,10 +633,9 @@ class Cluster {
   std::vector<double> tier_latency_factor_;    ///< latency_ns / reference
   std::vector<double> tier_bandwidth_factor_;  ///< reference / bandwidth_gbs
   std::vector<std::uint8_t> tier_order_;    ///< tier ids, latency asc, id asc
-  // Per-tier index variants, maintained ONLY when tiered() (the single-tier
-  // topology must not pay for them — and degenerates to the global indexes
-  // anyway). Membership mirrors free_index_/mem_free_index_ restricted to
-  // each tier's nodes, under the same kInFree/kInMemFree bits.
+  // Per-tier lendable indexes, one entry per tier on every topology (a flat
+  // topology has one): each tier's lendable nodes (kInFree) and lendable
+  // memory nodes (kInMemFree), maintained by reindex_node().
   std::vector<FreeIndex> tier_free_index_;
   std::vector<FreeIndex> tier_mem_free_index_;
   std::vector<MiB> tier_free_mib_;  ///< sum of free() per tier
@@ -656,8 +663,6 @@ class Cluster {
 
   // Incremental indexes (see file comment).
   FreeIndex host_index_;
-  FreeIndex free_index_;
-  FreeIndex mem_free_index_;
   std::vector<NodeId> nodes_by_capacity_;  ///< static (capacity asc, id asc)
   std::vector<MiB> capacities_sorted_;     ///< capacities in the same order
   BorrowSlab borrow_slab_;  ///< reverse borrow index (lender -> slot keys)

@@ -215,6 +215,7 @@ ResizeOutcome resize_to_demand(cluster::Cluster& cluster, JobId job,
 MigrateOutcome migrate_to_nearest_tier(cluster::Cluster& cluster, JobId job,
                                        NodeId host) {
   MigrateOutcome out;
+  // One tier has no nearer tier to promote into.
   if (!cluster.tiered()) return out;
   const cluster::AllocationSlot& slot = cluster.slot(job, host);
   if (slot.remote.empty()) return out;

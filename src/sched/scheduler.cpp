@@ -758,9 +758,8 @@ Scheduler::UpdateResult Scheduler::apply_update(RunningJob& rj, JobId id) {
     }
   }
   // After resizing, promote borrowed memory toward nearer tiers freed up by
-  // the shrinks (tiered topologies only — on a flat topology this is
-  // statically dead and the flat event stream is untouched).
-  if (!result.oom && cluster_.tiered()) {
+  // the shrinks (a no-op on a flat topology, which has no nearer tier).
+  if (!result.oom) {
     MiB migrated = 0;
     for (const NodeId host : hosts) {
       const policy::MigrateOutcome moved =

@@ -139,21 +139,19 @@ void ContentionModel::add_pressure(const cluster::Cluster& cluster, JobId job,
   const AppProfile* app = profile(app_profile);
   const double bw = app != nullptr ? app->bw_demand_gbs : 0.0;
   if (bw <= 0.0) return;
-  const bool tiered = cluster.tiered();
   for (const NodeId h : cluster.hosts_of(job)) {
     const cluster::AllocationSlot& slot = cluster.slot(job, h);
     const MiB total = slot.total();
     if (total <= 0) continue;
     for (const auto& [lender, amount] : slot.remote) {
-      double term =
-          bw * static_cast<double>(amount) / static_cast<double>(total);
       // A narrower tier congests faster: demand lands scaled by
-      // reference-bandwidth / tier-bandwidth. Applied per term (not to the
-      // lender's sum) so this path and lender_pressure() accumulate
-      // bit-identical values in the same order.
-      if (tiered) {
-        term *= cluster.tier_bandwidth_factor(cluster.tier_of(lender));
-      }
+      // reference-bandwidth / tier-bandwidth (exactly 1.0 on a flat
+      // topology). Applied per term (not to the lender's sum) so this path
+      // and lender_pressure() accumulate bit-identical values in the same
+      // order.
+      const double term =
+          bw * static_cast<double>(amount) / static_cast<double>(total) *
+          cluster.tier_bandwidth_factor(cluster.tier_of(lender));
       pressure[lender.get()] += term;
     }
   }
@@ -163,7 +161,6 @@ double ContentionModel::lender_pressure(
     const cluster::Cluster& cluster,
     std::span<const cluster::Cluster::BorrowEdge> borrowers,
     const std::function<int(JobId)>& app_of) const {
-  const bool tiered = cluster.tiered();
   double p = 0.0;
   for (const auto& e : borrowers) {
     const AppProfile* app = profile(app_of(e.job));
@@ -171,10 +168,8 @@ double ContentionModel::lender_pressure(
     if (bw <= 0.0) continue;
     const MiB total = cluster.slot(e.job, e.host).total();
     if (total <= 0) continue;
-    double term =
-        bw * static_cast<double>(e.amount) / static_cast<double>(total);
-    if (tiered) term *= cluster.tier_bandwidth_factor(e.tier);
-    p += term;
+    p += bw * static_cast<double>(e.amount) / static_cast<double>(total) *
+         cluster.tier_bandwidth_factor(e.tier);
   }
   return p;
 }
@@ -183,7 +178,6 @@ double ContentionModel::job_slowdown(const cluster::Cluster& cluster, JobId job,
                                      int app_profile,
                                      std::span<const double> pressure) const {
   const AppProfile* app = profile(app_profile);
-  const bool tiered = cluster.tiered();
   double out = 1.0;
   for (const NodeId h : cluster.hosts_of(job)) {
     const cluster::AllocationSlot& slot = cluster.slot(job, h);
@@ -195,24 +189,20 @@ double ContentionModel::job_slowdown(const cluster::Cluster& cluster, JobId job,
     const double sens =
         app != nullptr ? app->sensitivity.at(worst_pressure) : 1.0;
     const double penalty = app != nullptr ? app->remote_penalty : 0.0;
-    // Latency exposure: on a flat topology this is the plain remote
-    // fraction (the paper's model, preserved expression for expression).
-    // On a tiered topology every remote MiB is weighted by its tier's
-    // latency relative to the flat pool's reference point, so memory
-    // promoted to a near tier hurts less and cross-rack memory hurts more.
-    double exposure;
-    if (!tiered) {
-      exposure = slot.remote_fraction();
-    } else {
-      const MiB total = slot.total();
-      double weighted = 0.0;
-      for (const auto& [lender, amount] : slot.remote) {
-        weighted += cluster.tier_latency_factor(cluster.tier_of(lender)) *
-                    static_cast<double>(amount);
-      }
-      exposure =
-          total == 0 ? 0.0 : weighted / static_cast<double>(total);
+    // Latency exposure: every remote MiB is weighted by its tier's latency
+    // relative to the flat pool's reference point, so memory promoted to a
+    // near tier hurts less and cross-rack memory hurts more. On a flat
+    // topology every weight is 1.0 and every term a whole MiB count far
+    // below 2^53, so the sum is exact and the exposure equals the paper's
+    // plain slot.remote_fraction() bit for bit.
+    const MiB total = slot.total();
+    double weighted = 0.0;
+    for (const auto& [lender, amount] : slot.remote) {
+      weighted += cluster.tier_latency_factor(cluster.tier_of(lender)) *
+                  static_cast<double>(amount);
     }
+    const double exposure =
+        total == 0 ? 0.0 : weighted / static_cast<double>(total);
     const double slot_slowdown = sens * (1.0 + penalty * exposure);
     out = std::max(out, slot_slowdown);
   }

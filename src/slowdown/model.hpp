@@ -116,9 +116,15 @@ class ContentionModel {
   ///
   /// pressure(L) = sum over borrow edges e=(job j, host h -> L) of
   ///               bw_demand(j) * amount(e) / total_alloc(j, h)
+  ///               * bw_factor(tier(L))
   /// slowdown(j) = max over j's slots s of
   ///               sensitivity_j(max pressure at s's lenders)
-  ///               * (1 + remote_penalty_j * remote_fraction(s))
+  ///               * (1 + remote_penalty_j * exposure(s))
+  /// exposure(s) = sum over s's edges of lat_factor(tier(L)) * amount(e)
+  ///               / total_alloc(s)
+  ///
+  /// On a flat topology both tier factors are 1.0 and exposure(s) is the
+  /// paper's remote fraction of the slot.
   ///
   /// The max over slots models bulk-synchronous HPC jobs running at the pace
   /// of their slowest node.

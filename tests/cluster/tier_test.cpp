@@ -1,8 +1,9 @@
 // Memory-tier topology: the tier table, per-tier indexes and accounting,
 // nearest-tier lender selection, the shrink_remote_edge primitive, and the
-// policy-layer migration pass. The degenerate single-tier case must be
-// indistinguishable from the flat pool (the byte-identity goldens pin the
-// full-simulation side; this file pins the ledger-level contracts).
+// policy-layer migration pass. A flat topology is the one-tier case of the
+// same code and a lone tier is normalised to the flat pool (the
+// byte-identity goldens pin the full-simulation side; this file pins the
+// ledger-level contracts).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -41,15 +42,56 @@ TEST(Tiers, FlatConfigGetsTheImplicitDefaultTier) {
   EXPECT_DOUBLE_EQ(t.latency_ns, kTierReferenceLatencyNs);
   EXPECT_DOUBLE_EQ(t.bandwidth_gbs, kTierReferenceBandwidthGbs);
   // Exactly at the reference point: both factors are exactly 1, so the
-  // slowdown model's tiered math would reproduce the flat numbers even if
-  // it ran (it does not — tiered() gates it off).
+  // slowdown model's tier-weighted math reproduces the flat numbers.
   EXPECT_EQ(c.tier_latency_factor(0), 1.0);
   EXPECT_EQ(c.tier_bandwidth_factor(0), 1.0);
   EXPECT_EQ(c.tier_of(NodeId{0}), 0);
   EXPECT_EQ(c.rack_of(NodeId{0}), 0);
-  // Degenerate per-tier totals fall through to the global ledger.
+  // The one tier's totals are the whole ledger's.
   EXPECT_EQ(c.tier_free(0), c.total_free());
   EXPECT_EQ(c.tier_lent(0), 0);
+}
+
+TEST(Tiers, LoneTierIsTheFlatPoolWhateverItsSpeed) {
+  // A single tier away from the reference point has no other tier to be
+  // slower than: the constructor normalises both factors to exactly 1.
+  ClusterConfig cfg = make_cluster_config(4, 64 * kGiB, 0, 0);
+  cfg.tiers = {MemoryTier{"odd", 900.0, 25.0, TierScope::CrossRack}};
+  const Cluster c(std::move(cfg));
+  EXPECT_FALSE(c.tiered());
+  ASSERT_EQ(c.tier_count(), 1u);
+  EXPECT_EQ(c.tiers()[0].latency_ns, 900.0);
+  EXPECT_EQ(c.tier_latency_factor(0), 1.0);
+  EXPECT_EQ(c.tier_bandwidth_factor(0), 1.0);
+}
+
+TEST(Tiers, FlatTierTotalsTrackTheLedger) {
+  Cluster c(make_cluster_config(4, 64 * kGiB, 0, 0));
+  const auto expect_tracks = [&c] {
+    EXPECT_EQ(c.tier_free(0), c.total_free());
+    EXPECT_EQ(c.tier_lent(0), c.total_lent());
+  };
+  const JobId job{1};
+  const NodeId host{0};
+  c.assign_job(job, std::vector<NodeId>{host});
+  ASSERT_EQ(c.grow_local(job, host, 48 * kGiB), 48 * kGiB);
+  expect_tracks();
+  ASSERT_EQ(c.grow_remote(job, host, 100 * kGiB), 100 * kGiB);
+  EXPECT_EQ(c.tier_lent(0), 100 * kGiB);
+  expect_tracks();
+  ASSERT_EQ(c.shrink_remote(job, host, 30 * kGiB), 30 * kGiB);
+  expect_tracks();
+  const NodeId lender = c.slot(job, host).remote.front().first;
+  ASSERT_GT(c.shrink_remote_edge(job, host, lender, 10 * kGiB), 0);
+  expect_tracks();
+  ASSERT_EQ(c.shrink_local(job, host, 8 * kGiB), 8 * kGiB);
+  expect_tracks();
+  c.check_invariants();
+  c.finish_job(job);
+  EXPECT_EQ(c.tier_lent(0), 0);
+  EXPECT_EQ(c.tier_free(0), c.total_capacity());
+  expect_tracks();
+  c.check_invariants();
 }
 
 TEST(Tiers, TierTableAndColumnsAreExposed) {

@@ -1,9 +1,10 @@
 // Golden flat-path identity: a degenerate one-tier topology must be
 // indistinguishable — byte for byte — from the implicit flat pool every
-// figure bench runs. This pins the tiered refactor's load-bearing design
-// rule: every tier-aware code path is gated on tiered() (> 1 tier), so a
-// single-tier table, at the reference point or not, executes exactly the
-// pre-refactor instruction stream. Three surfaces are compared:
+// figure bench runs. This pins the tier model's load-bearing design rule:
+// the flat pool is the one-tier case of the tiered code, and the Cluster
+// constructor normalises a lone tier to latency and bandwidth factors of
+// exactly 1.0, so a single-tier table, at the reference point or not,
+// computes the flat pool's numbers. Three surfaces are compared:
 //   * the full simulation JSON document (fig5/ablation-style export),
 //   * the NDJSON event trace,
 //   * the telemetry registry export,
@@ -96,8 +97,8 @@ TEST(TierGolden, SingleTierTopologyIsByteIdenticalToFlat) {
   EXPECT_EQ(spelled.telemetry, ref.telemetry);
 
   // A one-tier table NOT at the reference point: still byte-identical,
-  // because tiered() gates every tier-aware branch off — a single tier has
-  // no "other tier" to be slower than.
+  // because the constructor gives a lone tier factors of 1.0 — a single
+  // tier has no "other tier" to be slower than.
   SimulationConfig odd_tier = flat;
   odd_tier.system.tiers = {
       cluster::MemoryTier{"odd", 900.0, 25.0, cluster::TierScope::CrossRack}};

@@ -477,8 +477,17 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Usage text answers an argument error only; a runtime error (a refused
+  // snapshot, a bad config file) prints its one-line cause alone.
+  Options opt;
   try {
-    const Options opt = parse_args(argc, argv);
+    opt = parse_args(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "dmsim_run: " << e.what() << '\n';
+    print_usage(std::cerr);
+    return 1;
+  }
+  try {
     if (opt.help) {
       print_usage(std::cout);
       return 0;
@@ -493,7 +502,6 @@ int main(int argc, char** argv) {
     return run(opt);
   } catch (const std::exception& e) {
     std::cerr << "dmsim_run: " << e.what() << '\n';
-    print_usage(std::cerr);
     return 1;
   }
 }
